@@ -54,9 +54,14 @@ def _all_numeric(cells: list[str]) -> bool:
     return True
 
 
-def _read_csv(path: str, ncols: int) -> list[tuple[int, list[float]]]:
-    """Rows as (line number, floats); skips blank lines and one leading header."""
-    rows: list[tuple[int, list[float]]] = []
+def _read_csv(path: str, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise reader: the reference for ``_read_table`` and the source of its row errors.
+
+    Returns the data rows as an (n, ncols) array and their line numbers;
+    skips blank lines and one leading header.
+    """
+    values: list[float] = []
+    linenos: list[int] = []
     header_allowed = True
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -72,46 +77,94 @@ def _read_csv(path: str, ncols: int) -> list[tuple[int, list[float]]]:
                     f"{path}: row {lineno}: expected {ncols} column(s), got {len(cells)}"
                 )
             try:
-                values = [float(c) for c in cells]
+                row_values = [float(c) for c in cells]
             except ValueError:
                 raise InvalidInputError(f"{path}: row {lineno}: non-numeric value") from None
-            if not all(math.isfinite(v) for v in values):
+            if not all(math.isfinite(v) for v in row_values):
                 raise InvalidInputError(f"{path}: row {lineno}: non-finite value")
-            rows.append((lineno, values))
-    return rows
+            values.extend(row_values)
+            linenos.append(lineno)
+    return np.array(values, dtype=np.float64).reshape(-1, ncols), np.array(linenos, dtype=np.intp)
+
+
+def _parse_table(text: str, ncols: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_read_csv``'s result in one ``np.loadtxt`` call, or None where it cannot be sure of it."""
+    # Quoted fields, NUL bytes and fields over the csv module's size limit
+    # are for the csv module to parse or reject.
+    if '"' in text or "\0" in text:
+        return None
+    # The line breaks of open(newline=""): \r\n, a lone \r, \n.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    if lengths.max() > csv.field_size_limit():
+        return None
+    first = 0
+    while first < len(lines) and not lines[first].replace(",", "").strip():
+        first += 1
+    if first < len(lines) and not _all_numeric([c.strip() for c in lines[first].split(",")]):
+        first += 1
+    body = lines[first:]
+    if not any(body):
+        # np.loadtxt warns on input without data.
+        return np.empty((0, ncols)), np.empty(0, dtype=np.intp)
+    try:
+        # comments=None: a '#' row is malformed input, not a comment.
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # np.loadtxt skips empty lines only, so each non-empty line gave one row.
+    linenos = np.flatnonzero(lengths[first:]) + (first + 1)
+    if values.shape != (linenos.shape[0], ncols) or not np.isfinite(values).all():
+        return None
+    return values, linenos
+
+
+def _read_table(path: str, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Data rows of a CSV file as an (n, ncols) float64 array, and their line numbers.
+
+    Skips blank lines and one leading header.  Input the bulk parse cannot
+    take is read again row by row, which names the offending row.
+    """
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from None
+    table = _parse_table(text, ncols)
+    return table if table is not None else _read_csv(path, ncols)
 
 
 def _load_function(path: str) -> SampledFunction:
-    rows = _read_csv(path, 2)
-    if len(rows) < 2:
+    table, linenos = _read_table(path, 2)
+    if table.shape[0] < 2:
         raise InvalidInputError(f"{path}: need at least 2 data rows")
-    ordered = sorted(rows, key=lambda r: r[1][0])
-    for (ln_a, va), (ln_b, vb) in zip(ordered, ordered[1:]):
-        if va[0] == vb[0]:
-            raise InvalidInputError(
-                f"{path}: duplicate x={va[0]!r} at rows {ln_a} and {ln_b}"
-            )
-    xs = [v[0] for _, v in ordered]
-    ys = [v[1] for _, v in ordered]
-    return SampledFunction(np.asarray(xs), np.asarray(ys))
+    order = np.argsort(table[:, 0], kind="stable")
+    xs = table[order, 0]
+    dup = np.flatnonzero(np.diff(xs) == 0.0)
+    if dup.size:
+        i = dup[0]
+        raise InvalidInputError(
+            f"{path}: duplicate x={float(xs[i])!r} at rows {linenos[order[i]]} and {linenos[order[i + 1]]}"
+        )
+    return SampledFunction(xs, table[order, 1])
 
 
 def _load_atoms(path: str) -> tuple[DiscreteSignedMeasure, list[str]]:
-    rows = _read_csv(path, 2)
+    table, linenos = _read_table(path, 2)
+    locations, weights = table[:, 0], table[:, 1]
     warnings = []
-    dropped = [str(ln) for ln, v in rows if v[1] == 0.0]
-    if dropped:
-        warnings.append(f"{path}: dropped zero-weight atom row(s) {', '.join(dropped)}")
-    kept = [v for _, v in rows if v[1] != 0.0]
-    measure = DiscreteSignedMeasure.from_atoms(kept)
-    return measure, warnings
+    zero = weights == 0.0
+    if zero.any():
+        dropped = ", ".join(map(str, linenos[zero].tolist()))
+        warnings.append(f"{path}: dropped zero-weight atom row(s) {dropped}")
+    return DiscreteSignedMeasure(locations, weights), warnings
 
 
 def _load_sample(path: str) -> EmpiricalDistribution:
-    rows = _read_csv(path, 1)
-    if not rows:
+    table, _ = _read_table(path, 1)
+    if table.shape[0] == 0:
         raise InvalidInputError(f"{path}: need at least 1 data row")
-    return EmpiricalDistribution(np.asarray([v[0] for _, v in rows]))
+    return EmpiricalDistribution(table[:, 0])
 
 
 def _round12(x: float) -> float:

@@ -166,6 +166,14 @@ class TestExitContract:
         assert code == 2
         assert "non-finite" in err
 
+    def test_non_utf8_file_names_the_byte(self, run, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"x,y\n0,1\n1,\xe9\n")
+        code, out, err = run(["indices", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: not UTF-8 text (invalid byte at offset 10)\n"
+
     def test_too_few_rows(self, run, tmp_path):
         bad = tmp_path / "short.csv"
         bad.write_text("x,y\n0,0\n", encoding="utf-8")
