@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, MonotoniaError
 from .functions import SampledFunction
-from .indices import report
-from .measures import DiscreteSignedMeasure, jordan, lop, lon, los
+from .indices import _normalize, report
+from .measures import DiscreteSignedMeasure, _split_measure, jordan
 from .orderings import INDEX_RELATIONS, STRICT_RELATIONS, compare, compare_strict
 from .risk import (
     WEIGHT_CATALOG,
@@ -271,17 +271,13 @@ def _cmd_compare(args) -> tuple[dict, int]:
 def _cmd_measure(args) -> tuple[dict, int]:
     measure, warnings = _load_atoms(args.file)
     parts = jordan(measure)
-    neg_mass = lop(measure)
-    pos_mass = lon(measure)
+    neg_mass, pos_mass, _, _ = _split_measure(measure)
     tv = neg_mass + pos_mass
-    if tv > 0.0:
-        normalized = (neg_mass / tv, pos_mass / tv, 2.0 * min(neg_mass / tv, pos_mass / tv))
-    else:
-        normalized = (None, None, None)
+    normalized = _normalize(neg_mass, pos_mass, tv) or (None, None, None)
     results = {
         "lop": neg_mass,
         "lon": pos_mass,
-        "los": los(measure),
+        "los": 2.0 * min(neg_mass, pos_mass),
         "tv": tv,
         "lop_norm": normalized[0],
         "lon_norm": normalized[1],
@@ -309,7 +305,7 @@ def _make_weight(name: str, param: float | None) -> tuple[WeightSpec, list[str]]
 def _cmd_premium(args) -> tuple[dict, int]:
     sample = _load_sample(args.file)
     weight, warnings = _make_weight(args.weight, args.param)
-    rep = loading_report(sample, weight, args.quad_n)
+    rep = loading_report(sample, weight)
     results = {
         "premium": rep.premium,
         "net_premium": rep.net_premium,
@@ -320,12 +316,7 @@ def _cmd_premium(args) -> tuple[dict, int]:
     }
     payload = {
         "command": "premium",
-        "input": {
-            "file": args.file,
-            "weight": args.weight,
-            "param": args.param,
-            "quad_n": args.quad_n,
-        },
+        "input": {"file": args.file, "weight": args.weight, "param": args.param},
         "results": results,
         "warnings": warnings,
     }
@@ -411,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one of {', '.join(WEIGHT_CATALOG)}, or sampled:<csv-file>",
     )
     p_prem.add_argument("--param", type=float, default=None, help="parameter of the catalog weight")
-    p_prem.add_argument("--quad-n", type=int, default=10_000, help="grid size for grid-based quantities")
     add_format(p_prem)
 
     p_glr = sub.add_parser("glr", help="gain-loss and normalized ratios of a function on [0, 1]")

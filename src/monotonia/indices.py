@@ -19,7 +19,7 @@ from .functions import (
     DerivativeTransform,
     SampledFunction,
     StandardizedFunction,
-    _as_standardized,
+    _as_sampled,
     derivative,
     integrate_transform,
 )
@@ -71,9 +71,7 @@ def lod(g: StandardizedFunction | SampledFunction) -> float:
 
 def lom(g: StandardizedFunction | SampledFunction) -> float:
     """Twice the smaller of loi and lod; 0 exactly when the function is monotone."""
-    profile = derivative(g)
-    neg = integrate_transform(profile, DerivativeTransform.neg_part())
-    pos = integrate_transform(profile, DerivativeTransform.pos_part())
+    neg, pos, _ = _split(derivative(g))
     return 2.0 * min(neg, pos)
 
 
@@ -82,14 +80,21 @@ def _split(profile: DerivativeProfile) -> tuple[float, float, float]:
     return float(neg), float(pos), float(tv)
 
 
-def normalized_indices(g: StandardizedFunction | SampledFunction) -> tuple[float, float, float]:
-    """(loi_norm, lod_norm, lom_norm); raises UndefinedIndexError for constant functions."""
-    neg, pos, tv = _split(derivative(g))
+def _normalize(neg: float, pos: float, tv: float) -> tuple[float, float, float] | None:
+    """(neg/tv, pos/tv, twice their minimum), or None when ``tv`` is zero."""
     if tv == 0.0:
-        raise UndefinedIndexError("normalized indices are undefined for constant functions (zero total variation)")
+        return None
     up = neg / tv
     down = pos / tv
     return up, down, 2.0 * min(up, down)
+
+
+def normalized_indices(g: StandardizedFunction | SampledFunction) -> tuple[float, float, float]:
+    """(loi_norm, lod_norm, lom_norm); raises UndefinedIndexError for constant functions."""
+    norm = _normalize(*_split(derivative(g)))
+    if norm is None:
+        raise UndefinedIndexError("normalized indices are undefined for constant functions (zero total variation)")
+    return norm
 
 
 def loi_norm(g: StandardizedFunction | SampledFunction) -> float:
@@ -110,31 +115,28 @@ def loi_p(g: StandardizedFunction | SampledFunction, p: float) -> float:
     Coincides with ``loi`` at p = 1.  The minimizing comparison function is the
     same for every p, so only the size of the gap changes with the exponent.
     """
+    return _loi_p(derivative(g), p)
+
+
+def _loi_p(profile: DerivativeProfile, p: float) -> float:
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise InvalidParameterError(f"p must be a finite real >= 1, got {p}")
-    profile = derivative(g)
     total = integrate_transform(profile, DerivativeTransform.neg_part_power(p))
     return total ** (1.0 / p)
 
 
-def report(f0: SampledFunction, p: float | None = None) -> MonotonicityReport:
-    """Standardize ``f0`` and assemble every index into one report.
+def report(f0: StandardizedFunction | SampledFunction, p: float | None = None) -> MonotonicityReport:
+    """Assemble every index of ``f0`` into one report.
 
     Raw indices are always present; normalized fields are ``None`` for
     constant functions.  When ``p`` is given the Lp lack-of-increase index is
     attached as well.
     """
-    g = _as_standardized(f0)
-    interval = (float(f0.xs[0]), float(f0.xs[-1])) if isinstance(f0, SampledFunction) else (0.0, g.span)
-    neg, pos, tv = _split(derivative(g))
-    if tv > 0.0:
-        up = neg / tv
-        down = pos / tv
-        norm = (up, down, 2.0 * min(up, down))
-    else:
-        norm = (None, None, None)
-    lp = None if p is None else loi_p(g, p)
+    f = _as_sampled(f0)
+    profile = derivative(f)
+    neg, pos, tv = _split(profile)
+    norm = _normalize(neg, pos, tv) or (None, None, None)
     return MonotonicityReport(
         loi=neg,
         lod=pos,
@@ -143,7 +145,7 @@ def report(f0: SampledFunction, p: float | None = None) -> MonotonicityReport:
         loi_norm=norm[0],
         lod_norm=norm[1],
         lom_norm=norm[2],
-        interval=interval,
+        interval=(float(f.xs[0]), float(f.xs[-1])),
         p=None if p is None else float(p),
-        loi_p=lp,
+        loi_p=None if p is None else _loi_p(profile, p),
     )

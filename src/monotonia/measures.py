@@ -19,6 +19,7 @@ import numpy as np
 from . import _backend
 from .errors import InvalidInputError, UndefinedIndexError
 from .functions import DerivativeProfile, _as_float_array, _freeze
+from .indices import _normalize
 
 __all__ = [
     "DiscreteSignedMeasure",
@@ -65,7 +66,7 @@ class DiscreteSignedMeasure:
             dup = np.nonzero(np.diff(locations) == 0.0)[0]
             if dup.size:
                 raise InvalidInputError(
-                    f"duplicate atom location {locations[dup[0]]!r}; merge weights first"
+                    f"duplicate atom location {float(locations[dup[0]])!r}; merge weights first"
                 )
         object.__setattr__(self, "locations", _freeze(locations))
         object.__setattr__(self, "weights", _freeze(weights))
@@ -225,13 +226,14 @@ def los(nu) -> float:
     return 2.0 * min(neg, pos)
 
 
-def _normalized_split(nu) -> tuple[float, float]:
+def _normalized_split(nu) -> tuple[float, float, float]:
     neg, pos, tv, _ = _split_measure(nu)
-    if tv == 0.0:
+    norm = _normalize(neg, pos, tv)
+    if norm is None:
         raise UndefinedIndexError(
             "normalized positivity indices are undefined for the zero measure"
         )
-    return neg / tv, pos / tv
+    return norm
 
 
 def lop_norm(nu) -> float:
@@ -246,5 +248,4 @@ def lon_norm(nu) -> float:
 
 def los_norm(nu) -> float:
     """Twice the smaller normalized index; 1 for perfectly balanced measures."""
-    neg, pos = _normalized_split(nu)
-    return 2.0 * min(neg, pos)
+    return _normalized_split(nu)[2]

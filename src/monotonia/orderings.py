@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, UndefinedComparisonError
-from .functions import SampledFunction, StandardizedFunction, _as_standardized, derivative
-from .indices import _split
+from .functions import SampledFunction, StandardizedFunction, derivative
+from .indices import _normalize, _split
 
 __all__ = [
     "SurvivalCurve",
@@ -88,7 +88,7 @@ class OrderingVerdict:
     note: str | None = None
 
 
-def _curve(g: StandardizedFunction, sign: str) -> SurvivalCurve:
+def _curve(g: StandardizedFunction | SampledFunction, sign: str) -> SurvivalCurve:
     profile = derivative(g)
     if sign == "neg":
         parts = np.where(profile.slopes < 0.0, -profile.slopes, 0.0)
@@ -98,26 +98,28 @@ def _curve(g: StandardizedFunction, sign: str) -> SurvivalCurve:
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
     suffix = np.cumsum(profile.lengths[order][::-1])[::-1]
-    breaks = np.unique(sorted_parts[sorted_parts > 0.0])
-    tails = suffix[np.searchsorted(sorted_parts, breaks, side="left")]
-    return SurvivalCurve(breaks=breaks, tail_lengths=tails, sign=sign, tv=tv)
+    # The first cell of each run of equal positive parts gives its break and tail.
+    new_run = np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1]))
+    starts = np.flatnonzero(new_run & (sorted_parts > 0.0))
+    return SurvivalCurve(breaks=sorted_parts[starts], tail_lengths=suffix[starts], sign=sign, tv=tv)
 
 
 def survival_minus(g: StandardizedFunction | SampledFunction) -> SurvivalCurve:
     """Survival curve of the derivative's negative part (time spent falling faster than z)."""
-    return _curve(_as_standardized(g), "neg")
+    return _curve(g, "neg")
 
 
 def survival_plus(g: StandardizedFunction | SampledFunction) -> SurvivalCurve:
     """Survival curve of the derivative's positive part."""
-    return _curve(_as_standardized(g), "pos")
+    return _curve(g, "pos")
 
 
 def _normalized(g) -> tuple[float, float, float, float]:
-    neg, pos, tv = _split(derivative(_as_standardized(g)))
-    if tv == 0.0:
+    neg, pos, tv = _split(derivative(g))
+    norm = _normalize(neg, pos, tv)
+    if norm is None:
         raise UndefinedComparisonError("cannot compare constant functions (zero total variation)")
-    return neg / tv, pos / tv, 2.0 * min(neg / tv, pos / tv), tv
+    return (*norm, tv)
 
 
 def _tv_note(tv_g: float, tv_h: float) -> str | None:
@@ -164,8 +166,8 @@ def compare_strict(g, h, relation: str) -> OrderingVerdict:
     if relation not in STRICT_RELATIONS:
         raise InvalidParameterError(f"relation must be one of {STRICT_RELATIONS}, got {relation!r}")
     sign = "neg" if relation == "SI" else "pos"
-    curve_g = _curve(_as_standardized(g), sign)
-    curve_h = _curve(_as_standardized(h), sign)
+    curve_g = _curve(g, sign)
+    curve_h = _curve(h, sign)
     if curve_g.tv == 0.0 or curve_h.tv == 0.0:
         raise UndefinedComparisonError("cannot compare constant functions (zero total variation)")
     grid = np.unique(np.concatenate(([0.0], curve_g.breaks, curve_h.breaks)))

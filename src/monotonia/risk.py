@@ -201,28 +201,31 @@ def _block_weights(ed: EmpiricalDistribution, w: WeightSpec) -> np.ndarray:
     return np.maximum(increments, 0.0)
 
 
-def premium(ed: EmpiricalDistribution, w: WeightSpec, quad_n: int = 10_000) -> float:
-    """The w-weighted premium of the sample.
+def premium(ed: EmpiricalDistribution, w: WeightSpec) -> float:
+    """The w-weighted premium of the sample, evaluated block-exactly through the cumulative weight."""
+    return _premium(ed, w, _block_weights(ed, w))
 
-    Evaluated block-exactly through the cumulative weight, so the result does
-    not depend on ``quad_n``; the parameter is kept so call sites can treat
-    all report-producing operations uniformly.
-    """
+
+def _premium(ed: EmpiricalDistribution, w: WeightSpec, blocks: np.ndarray) -> float:
     total = w.total_weight()
     if total <= 0.0:
         raise DegenerateWeightError("weight function integrates to zero")
-    return float(np.sum(ed.values * _block_weights(ed, w))) / total
+    return float(np.sum(ed.values * blocks)) / total
 
 
-def loading_covariance(ed: EmpiricalDistribution, w: WeightSpec, quad_n: int = 10_000) -> float:
+def loading_covariance(ed: EmpiricalDistribution, w: WeightSpec) -> float:
     """cov of the quantile and weight functions against the uniform measure.
 
     Non-negative exactly when the premium carries non-negative loading.
-    Block-exact like ``premium``; ``quad_n`` is unused and kept for symmetry.
+    Block-exact like ``premium``.
     """
+    return _covariance(ed, w, _block_weights(ed, w))
+
+
+def _covariance(ed: EmpiricalDistribution, w: WeightSpec, blocks: np.ndarray) -> float:
     if ed.n == 1 or ed.values[0] == ed.values[-1]:
         return 0.0
-    weighted = float(np.sum(ed.values * _block_weights(ed, w)))
+    weighted = float(np.sum(ed.values * blocks))
     return weighted - ed.mean() * w.total_weight()
 
 
@@ -335,15 +338,15 @@ class LoadingReport:
     omega_style_ratio: float | None
 
 
-def loading_report(ed: EmpiricalDistribution, w: WeightSpec, quad_n: int = 10_000) -> LoadingReport:
+def loading_report(ed: EmpiricalDistribution, w: WeightSpec) -> LoadingReport:
     """Premium, covariance, and the equivalent ratio forms in one pass."""
-    prem = premium(ed, w, quad_n)
+    blocks = _block_weights(ed, w)
+    prem = _premium(ed, w, blocks)
     net = ed.mean()
-    cov = loading_covariance(ed, w, quad_n)
+    cov = _covariance(ed, w, blocks)
     sample_range = float(ed.values[-1] - ed.values[0])
     tol = 1e-9 * sample_range
     centered = ed.values - net
-    blocks = _block_weights(ed, w)
     gains = float(np.sum(np.maximum(centered, 0.0) * blocks))
     losses = float(np.sum(np.maximum(-centered, 0.0) * blocks))
     if gains == 0.0 and losses == 0.0:

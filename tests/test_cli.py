@@ -145,6 +145,15 @@ class TestExitContract:
         assert code == 2
         assert "duplicate x=1.0 at rows 3 and 4" in err
 
+    def test_duplicate_atom_location_prints_a_plain_float(self, run, tmp_path):
+        bad = tmp_path / "atoms.csv"
+        bad.write_text("location,weight\n0,1\n0,2\n", encoding="utf-8")
+        assert run(["measure", str(bad)]) == (
+            2,
+            "",
+            "error: duplicate atom location 0.0; merge weights first\n",
+        )
+
     def test_non_numeric_data_row(self, run, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n0,0\n1,oops\n", encoding="utf-8")
@@ -418,20 +427,3 @@ class TestOptions:
         assert code == 0
         payload = json.loads(out)
         assert payload["warnings"] == ["--param is ignored for sampled weights"]
-
-    def test_quad_n_does_not_change_block_exact_results(self, run):
-        argv = [
-            "premium",
-            "tests/fixtures/sample_quartet.csv",
-            "--weight",
-            "esscher",
-            "--param",
-            "1.3",
-            "--format",
-            "json",
-        ]
-        _, out_default, _ = run(argv)
-        _, out_coarse, _ = run(argv + ["--quad-n", "50"])
-        default = json.loads(out_default)["results"]
-        coarse = json.loads(out_coarse)["results"]
-        assert default == coarse

@@ -1,6 +1,7 @@
 """Function model: validation, standardization, derivatives, exact integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestSampledFunctionValidation:
             SampledFunction(np.array([0.0, np.inf]), np.array([0.0, 1.0]))
 
     def test_rejects_duplicate_abscissa_naming_positions(self):
-        with pytest.raises(InvalidInputError, match="positions 1 and 2"):
+        with pytest.raises(InvalidInputError, match=r"^duplicate abscissa x=1\.0 at positions 1 and 2$"):
             SampledFunction(np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0, 3.0]))
 
     def test_rejects_decreasing_grid(self):
@@ -145,6 +146,31 @@ class TestDerivative:
         profile = derivative(g)
         mids = 0.5 * (xs[:-1] + xs[1:])
         assert float(np.max(np.abs(profile.slopes - np.sin(mids)))) < 1.0 / n
+
+    @pytest.mark.parametrize(
+        "xs, ys, cell",
+        [
+            ([0.0, 1.0, 2.0], [1e308, -1e308, 1e308], "cell 0 on [0.0, 1.0]"),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1e308, -1e308], "cell 2 on [2.0, 3.0]"),
+            ([0.0, 5e-324, 1.0], [0.0, 1.0, 0.0], "cell 0 on [0.0, 5e-324]"),
+            ([-1.5e308, -1e308, 1e308], [0.0, 1.0, 0.0], "cell 1 on [-1e+308, 1e+308]"),
+            ([-1e308, 1e308], [0.0, 1.0], "cell 0 on [-1e+308, 1e+308]"),
+        ],
+    )
+    def test_overflow_names_the_cell_without_warnings(self, xs, ys, cell):
+        # Finite samples whose difference, or difference quotient, leaves float64.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = SampledFunction(np.array(xs), np.array(ys))
+            with pytest.raises(InvalidInputError) as excinfo:
+                derivative(f)
+        assert str(excinfo.value) == f"the difference quotient of {cell} overflows float64"
+
+    def test_grid_wider_than_float64_without_overflowing_cells(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = SampledFunction(np.array([-1e308, 0.0, 1e308, 1.5e308]), np.array([0.0, 1.0, 0.0, 1.0]))
+            assert_close(total_variation(f), 3.0)
 
     def test_profile_validation(self):
         with pytest.raises(InvalidInputError):

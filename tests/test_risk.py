@@ -198,10 +198,6 @@ class TestPremium:
         for w in (WeightSpec.esscher(1.0), WeightSpec.indicator(0.4)):
             assert_close(premium(SINGLE, w), 7.0)
 
-    def test_block_exactness_ignores_quad_n(self):
-        w = WeightSpec.esscher(1.3)
-        assert premium(QUARTET, w, quad_n=7) == premium(QUARTET, w, quad_n=10_000)
-
     def test_esscher_premium_matches_midpoint_quadrature(self):
         lam = 1.7
         w = WeightSpec.esscher(lam)
