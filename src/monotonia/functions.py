@@ -94,7 +94,11 @@ class SampledFunction:
 
     @property
     def span(self) -> float:
-        return float(self.xs[-1] - self.xs[0])
+        lower, upper = self.lower, self.upper
+        span = upper - lower
+        if math.isinf(span):
+            raise InvalidInputError(f"the span of [{lower!r}, {upper!r}] overflows float64")
+        return span
 
     def value_at(self, x: float) -> float:
         """Linear interpolation; ``x`` must lie within the sampled interval."""
@@ -159,7 +163,11 @@ class DerivativeProfile:
 
     @property
     def span(self) -> float:
-        return float(np.sum(self.lengths))
+        with np.errstate(over="ignore"):
+            span = float(np.sum(self.lengths))
+        if math.isinf(span):
+            raise InvalidInputError("the total length of the cells overflows float64")
+        return span
 
 
 @dataclass(frozen=True)
@@ -260,7 +268,11 @@ def derivative(g: StandardizedFunction | SampledFunction) -> DerivativeProfile:
     f = _as_sampled(g)
     with np.errstate(all="ignore"):
         lengths = np.diff(f.xs)
-        slopes = np.diff(f.ys) / lengths
+        slopes = np.diff(f.ys)
+        np.divide(slopes, lengths, out=slopes)
+    # Nothing else holds these fresh arrays, so the profile may keep them as they are.
+    lengths.flags.writeable = False
+    slopes.flags.writeable = False
     try:
         return DerivativeProfile(lengths, slopes)
     except InvalidInputError:
@@ -278,7 +290,8 @@ def integrate_transform(profile: DerivativeProfile, transform: DerivativeTransfo
     Exact for the piecewise-linear model: the result is the plain sum of
     ``length * transform(slope)`` over cells, accumulated left to right.
     """
-    if transform.code == DerivativeTransform._CUSTOM:
+    code, p = transform.code, transform.p
+    if code == DerivativeTransform._CUSTOM:
         acc = 0.0
         fn = transform.fn
         assert fn is not None
@@ -291,9 +304,10 @@ def integrate_transform(profile: DerivativeProfile, transform: DerivativeTransfo
                 )
             acc += float(profile.lengths[i]) * float(value)
         return acc
-    return float(
-        _backend.transform_reduce(profile.lengths, profile.slopes, transform.code, transform.p)
-    )
+    total = float(_backend.transform_reduce(profile.lengths, profile.slopes, code, p))
+    if math.isinf(total) and code in (_backend.NEG_POW, _backend.POS_POW, _backend.ABS_POW):
+        raise InvalidInputError(f"the powered sum for p={p!r} overflows float64")
+    return total
 
 
 def total_variation(g: StandardizedFunction | SampledFunction) -> float:

@@ -50,6 +50,13 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # only for parameter <= 1); for these the loading is provably non-negative.
 MONOTONE_WEIGHTS = ("indicator", "size_biased", "esscher", "kamps")
 
+# Taylor coefficients of chi(x) = sum_k (-x)**k / (k + 2)!, highest power first.
+# Below x = 1/8 ten terms leave a truncation error under 1e-17 relative; above
+# it the closed form of the kamps weight loses about 2 eps / x < 2e-15 to
+# cancellation.
+_KAMPS_CHI = np.array([1.0 / math.factorial(k + 2) for k in reversed(range(10))])
+_KAMPS_SERIES_BELOW = 0.125
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
@@ -173,7 +180,11 @@ class WeightSpec:
         if self.kind == "esscher":
             return np.expm1(p * t) / p
         if self.kind == "kamps":
-            return t + np.expm1(-p * t) / p
+            # t + expm1(-x)/p with x = p t cancels as x -> 0 (to 0 at p = 1e-300), so
+            # small x takes W = x t chi(x), chi(x) = (x + expm1(-x)) / x**2 by its series.
+            x = p * t
+            series = x * t * np.polyval(_KAMPS_CHI, -np.minimum(x, _KAMPS_SERIES_BELOW))
+            return np.where(x < _KAMPS_SERIES_BELOW, series, t + np.expm1(-x) / p)
         return self._sampled_cumulative(t)
 
     def _sampled_cumulative(self, t: np.ndarray) -> np.ndarray:

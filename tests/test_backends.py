@@ -38,6 +38,14 @@ ALL_CODES = (
 POWERS = (1.0, 1.5, 2.0, 2.7, 3.0)
 
 
+def libm_pow(x, p):
+    """``math.pow`` with libm's answer to overflow, ``inf``, in place of OverflowError."""
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        return math.inf
+
+
 def reference_transform_reduce(lengths, values, code, p=1.0):
     """Plain Python loop spelling out the contract both backends must match."""
     acc = 0.0
@@ -52,14 +60,38 @@ def reference_transform_reduce(lengths, values, code, p=1.0):
             acc += length * abs(v)
         elif code == _kernels_py.NEG_POW:
             if v < 0.0:
-                acc += length * math.pow(-v, p)
+                acc += length * libm_pow(-v, p)
         elif code == _kernels_py.POS_POW:
             if v > 0.0:
-                acc += length * math.pow(v, p)
+                acc += length * libm_pow(v, p)
         else:
             if v != 0.0:
-                acc += length * math.pow(abs(v), p)
+                acc += length * libm_pow(abs(v), p)
     return acc
+
+
+def reference_sign_split_sums(lengths, values):
+    """Plain Python loop spelling out the fused sign split of ``_kernels.pyx``."""
+    neg = pos = tv = signed_total = 0.0
+    for length, v in zip(lengths.tolist(), values.tolist()):
+        if v < 0.0:
+            term = length * (-v)
+            neg += term
+            tv += term
+            signed_total -= term
+        elif v > 0.0:
+            term = length * v
+            pos += term
+            tv += term
+            signed_total += term
+    return neg, pos, tv, signed_total
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Bitwise equality, so -0.0 and 0.0 differ; any NaN equals any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return bool(np.float64(a).view(np.int64) == np.float64(b).view(np.int64))
 
 
 def random_cells(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -68,6 +100,78 @@ def random_cells(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
     # Sprinkle exact zeros so the "skip zero cells" branches are exercised.
     values[rng.uniform(size=n) < 0.1] = 0.0
     return lengths, values
+
+
+def extreme_cells(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells whose products and powers underflow to 0, overflow to inf, or stay ordinary."""
+    spread = float(rng.choice([1.0, 20.0, 160.0, 300.0]))
+    lengths = 10.0 ** rng.uniform(-spread, spread, n)
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-spread - 20.0, spread + 8.0, n)
+    values[rng.uniform(size=n) < 0.1] = rng.choice([-0.0, 0.0])
+    return lengths, values
+
+
+CHUNK = _kernels_py.CHUNK
+EDGE_CASES = {
+    # Every product underflows: the loop's 0.0 start makes each result +0.0.
+    "underflow": ([1e-300, 1e-300, 1e-300], [-1e-300, 1e-300, -1e-300]),
+    "negative_underflow_only": ([1e-300, 1e-300], [-1e-300, -1e-300]),
+    "negative_zeros": ([1.0, 2.0], [-0.0, -0.0]),
+    # Products of both signs overflow, so the signed total is inf - inf = NaN.
+    "overflow_both_signs": ([1e300, 1e300, 1.0], [1e300, -1e300, 1.0]),
+    "overflow_negative": ([1.0, 1e300], [-2.0, -1e300]),
+    "power_overflows_before_length": ([1e-300, 1.0], [-1e200, -3.0]),
+    "empty": ([], []),
+}
+
+
+def adversarial_cases():
+    rng = np.random.default_rng(2718)
+    for name, (lengths, values) in EDGE_CASES.items():
+        yield name, np.array(lengths, dtype=np.float64), np.array(values, dtype=np.float64)
+    for n in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7):
+        yield f"ordinary_{n}", *random_cells(rng, n)
+        yield f"extreme_{n}", *extreme_cells(rng, n)
+    for trial in range(150):
+        yield f"extreme_small_{trial}", *extreme_cells(rng, int(rng.integers(1, 64)))
+
+
+ADVERSARIAL = list(adversarial_cases())
+
+
+@pytest.mark.filterwarnings("error")
+class TestAdversarialBitwise:
+    """Magnitudes at IEEE extremes and sizes across the fallback's chunk boundary, without warnings."""
+
+    def test_sign_split_matches_loop(self):
+        for name, lengths, values in ADVERSARIAL:
+            expected = reference_sign_split_sums(lengths, values)
+            for backend in BACKENDS:
+                got = backend.sign_split_sums(lengths, values)
+                assert all(same_bits(a, b) for a, b in zip(got, expected)), (
+                    backend.BACKEND_NAME, name, got, expected,
+                )
+
+    def test_transform_reduce_matches_loop(self):
+        for name, lengths, values in ADVERSARIAL:
+            for code in ALL_CODES:
+                for p in (1.0, 2.0, 2.7) if code >= _kernels_py.NEG_POW else (1.0,):
+                    expected = reference_transform_reduce(lengths, values, code, p)
+                    for backend in BACKENDS:
+                        got = backend.transform_reduce(lengths, values, code, p)
+                        assert same_bits(got, expected), (backend.BACKEND_NAME, name, code, p, got, expected)
+
+    def test_edge_cases_reach_the_extremes(self):
+        # Guards the case list: the extremes above must really be produced.
+        results = {
+            name: reference_sign_split_sums(np.array(lengths), np.array(values))
+            for name, (lengths, values) in EDGE_CASES.items()
+        }
+        assert all(same_bits(r, 0.0) for r in results["underflow"])
+        assert results["overflow_both_signs"][:3] == (math.inf, math.inf, math.inf)
+        assert math.isnan(results["overflow_both_signs"][3])
+        lengths, values = map(np.array, EDGE_CASES["power_overflows_before_length"])
+        assert reference_transform_reduce(lengths, values, _kernels_py.NEG_POW, 2.0) == math.inf
 
 
 class TestTransformReduceParity:

@@ -175,6 +175,13 @@ class TestExitContract:
         assert code == 2
         assert "non-finite" in err
 
+    def test_overflowing_powered_index_is_an_input_error(self, run, tmp_path):
+        spike = tmp_path / "spike.csv"
+        spike.write_text("x,y\n0,0\n1,-10\n2,0\n", encoding="utf-8")
+        code, out, err = run(["indices", str(spike), "--p", "400"])
+        assert (code, out) == (2, "")
+        assert err == "error: the powered sum for p=400.0 overflows float64\n"
+
     def test_non_utf8_file_names_the_byte(self, run, tmp_path):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(b"x,y\n0,1\n1,\xe9\n")

@@ -172,6 +172,25 @@ class TestDerivative:
             f = SampledFunction(np.array([-1e308, 0.0, 1e308, 1.5e308]), np.array([0.0, 1.0, 0.0, 1.0]))
             assert_close(total_variation(f), 3.0)
 
+    def test_span_wider_than_float64_names_the_interval(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = SampledFunction([-1e308, 5e307, 1.5e308], [0.0, 1.0, 0.0])
+            with pytest.raises(InvalidInputError) as excinfo:
+                f.span
+            assert str(excinfo.value) == "the span of [-1e+308, 1.5e+308] overflows float64"
+            profile = DerivativeProfile([1e308, 1e308], [0.0, 1.0])
+            with pytest.raises(InvalidInputError, match="total length of the cells overflows float64"):
+                profile.span
+            assert SampledFunction([-1e308, 5e307], [0.0, 1.0]).span == 1.5e308
+
+    def test_profile_keeps_fresh_arrays_read_only(self):
+        profile = derivative(SampledFunction([0.0, 1.0, 3.0], [0.0, 2.0, 1.0]))
+        assert profile.lengths.tolist() == [1.0, 2.0]
+        assert profile.slopes.tolist() == [2.0, -0.5]
+        assert not profile.lengths.flags.writeable
+        assert not profile.slopes.flags.writeable
+
     def test_profile_validation(self):
         with pytest.raises(InvalidInputError):
             DerivativeProfile(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
@@ -228,6 +247,22 @@ class TestIntegrateTransform:
         profile = DerivativeProfile(np.array([1.0]), np.array([2.0]))
         with pytest.raises(InvalidParameterError):
             integrate_transform(profile, bad)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            DerivativeTransform.neg_part_power(400.0),
+            DerivativeTransform.pos_part_power(400.0),
+            DerivativeTransform.abs_power(400.0),
+        ],
+    )
+    def test_powered_overflow_names_p(self, transform):
+        profile = derivative(SampledFunction([0.0, 1.0, 2.0], [0.0, -10.0, 10.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as excinfo:
+                integrate_transform(profile, transform)
+        assert str(excinfo.value) == "the powered sum for p=400.0 overflows float64"
 
     def test_power_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -422,3 +424,37 @@ class TestEsscherSmallParameterLimit:
         for lam, tol in ((1e-4, 1e-3), (1e-6, 1e-5)):
             slope = (premium(QUARTET, WeightSpec.esscher(lam)) - QUARTET.mean()) / lam
             assert abs(slope - c1) < tol
+
+
+def kamps_cumulative_exact(lam: float, t: float) -> float:
+    """W(t) = t - (1 - exp(-lam t)) / lam in 700-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        lam_d, t_d = Decimal(lam), Decimal(t)
+        return float(t_d - (1 - (-lam_d * t_d).exp()) / lam_d)
+
+
+class TestKampsSmallParameter:
+    # The closed form t + expm1(-lam t)/lam cancels as lam t -> 0.
+    LAMBDAS = (1e-300, 1e-8, 1e-3, 0.1249, 0.125, 0.1251, 1.0, 40.0)
+
+    def test_cumulative_matches_high_precision(self):
+        t = np.array([0.001, 0.25, 0.5, 0.9, 1.0])
+        for lam in self.LAMBDAS:
+            got = WeightSpec.kamps(lam).cumulative(t)
+            for ti, gi in zip(t.tolist(), got.tolist()):
+                assert_close(gi, kamps_cumulative_exact(lam, ti), rel=1e-13, abs_=0.0)
+
+    def test_tiny_parameter_premium_reaches_the_squared_weight_limit(self):
+        # As lam -> 0, W(t)/W(1) -> t**2, the size-biased weight w(t) = 2t.
+        coin = EmpiricalDistribution([1.0, 2.0])
+        limit = premium(coin, WeightSpec.size_biased(1.0))
+        assert limit == 1.75
+        w = WeightSpec.kamps(1e-300)
+        t = np.linspace(0.0, 1.0, 9)
+        assert np.allclose(w.cumulative(t) / w.total_weight(), t**2, rtol=1e-12, atol=0.0)
+        assert_close(premium(coin, w), limit, rel=1e-12, abs_=0.0)
+        # At lam = 1e-8 the exact premium is limit - lam/24 + O(lam**2).
+        exact = 2.0 - kamps_cumulative_exact(1e-8, 0.5) / kamps_cumulative_exact(1e-8, 1.0)
+        assert_close(premium(coin, WeightSpec.kamps(1e-8)), exact, rel=1e-12)
+        assert_close(exact, limit - 1e-8 / 24.0, rel=1e-15)
