@@ -6,13 +6,11 @@ top of the core indices sit orderings between functions (index-based and
 survival-curve based), Jordan decomposition of finitely represented signed
 measures, and the weighted-premium machinery that motivated the indices.
 
-A compiled extension accelerates the inner reductions when available; the
-pure-Python fallback is numerically identical.  Set MONO_BACKEND=python or
-MONO_BACKEND=compiled to force a choice, and check ``BACKEND_NAME`` to see
-which one is active.
+The per-cell reductions are plain NumPy, so the package needs no compiler.
+Each sum is within (n + 1)·u·Σ|terms| of the exact sum of its n rounded
+terms, and exact where every term and partial sum is.
 """
 
-from ._backend import BACKEND_NAME, HAVE_COMPILED
 from .errors import (
     DegenerateWeightError,
     InvalidInputError,
@@ -83,8 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BACKEND_NAME",
-    "HAVE_COMPILED",
     "MonotoniaError",
     "InvalidInputError",
     "InvalidParameterError",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import _backend
-from .errors import InvalidParameterError, UndefinedIndexError
+from .errors import InvalidInputError, InvalidParameterError, UndefinedIndexError
 from .functions import (
     DerivativeProfile,
     DerivativeTransform,
@@ -76,8 +76,15 @@ def lom(g: StandardizedFunction | SampledFunction) -> float:
 
 
 def _split(profile: DerivativeProfile) -> tuple[float, float, float]:
-    neg, pos, tv, _ = _backend.sign_split_sums(profile.lengths, profile.slopes)
-    return float(neg), float(pos), float(tv)
+    neg, pos, tv, _ = _finite_split(_backend.sign_split_sums(profile.lengths, profile.slopes))
+    return neg, pos, tv
+
+
+def _finite_split(split: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """A sign split whose total variation is finite, so neither part nor any ratio of them is inf or NaN."""
+    if math.isinf(split[2]):
+        raise InvalidInputError("the total variation overflows float64")
+    return split
 
 
 def _normalize(neg: float, pos: float, tv: float) -> tuple[float, float, float] | None:

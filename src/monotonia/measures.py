@@ -19,7 +19,7 @@ import numpy as np
 from . import _backend
 from .errors import InvalidInputError, UndefinedIndexError
 from .functions import DerivativeProfile, _as_float_array, _freeze
-from .indices import _normalize
+from .indices import _finite_split, _normalize
 
 __all__ = [
     "DiscreteSignedMeasure",
@@ -143,7 +143,8 @@ class MixedSignedMeasure:
             raise InvalidInputError("grid component must be a GridDensityMeasure")
 
     def total_variation(self) -> float:
-        return self.discrete.total_variation() + self.grid.total_variation()
+        _, _, tv, _ = _split_measure(self)
+        return tv
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +173,15 @@ def _freeze_index(arr: np.ndarray) -> np.ndarray:
 def _split_measure(nu) -> tuple[float, float, float, float]:
     """Return (mass below zero, mass above zero, total variation, signed total)."""
     if isinstance(nu, DiscreteSignedMeasure):
-        return _backend.sign_split_sums(np.ones_like(nu.weights), nu.weights)
-    if isinstance(nu, GridDensityMeasure):
-        return _backend.sign_split_sums(nu.lengths, nu.densities)
-    if isinstance(nu, MixedSignedMeasure):
+        split = _backend.sign_split_sums(np.ones_like(nu.weights), nu.weights)
+    elif isinstance(nu, GridDensityMeasure):
+        split = _backend.sign_split_sums(nu.lengths, nu.densities)
+    elif isinstance(nu, MixedSignedMeasure):
         parts = (_split_measure(nu.discrete), _split_measure(nu.grid))
-        return tuple(a + b for a, b in zip(*parts))
-    raise InvalidInputError(f"not a signed measure representation: {type(nu).__name__}")
+        split = tuple(a + b for a, b in zip(*parts))
+    else:
+        raise InvalidInputError(f"not a signed measure representation: {type(nu).__name__}")
+    return _finite_split(split)
 
 
 def jordan(nu: DiscreteSignedMeasure | GridDensityMeasure) -> JordanPair:

@@ -200,13 +200,29 @@ class WeightSpec:
 
     def total_weight(self) -> float:
         """The normalizing constant, W(1)."""
-        return float(self.cumulative(1.0))
+        with np.errstate(over="ignore"):
+            total = float(self.cumulative(1.0))
+        if math.isinf(total):
+            raise InvalidParameterError(f"the total weight of {self.kind}({self.param!r}) overflows float64")
+        return total
+
+    def normalized_cumulative(self, t) -> np.ndarray:
+        """W(t) / W(1), finite also where W(1) overflows (esscher at large parameters)."""
+        if self.kind == "esscher":
+            # (e^{lam t} - 1) / (e^lam - 1) with e^lam divided out of both.
+            lam = self.param
+            t = np.asarray(t, dtype=np.float64)
+            return np.exp(lam * (t - 1.0)) * np.expm1(-lam * t) / np.expm1(-lam)
+        total = self.total_weight()
+        if total <= 0.0:
+            raise DegenerateWeightError("weight function integrates to zero")
+        return self.cumulative(t) / total
 
 
 def _block_weights(ed: EmpiricalDistribution, w: WeightSpec) -> np.ndarray:
-    """Integral of w over each quantile block ((i-1)/n, i/n]."""
+    """Share of the total weight on each quantile block ((i-1)/n, i/n]."""
     edges = np.arange(ed.n + 1, dtype=np.float64) / ed.n
-    increments = np.diff(w.cumulative(edges))
+    increments = np.diff(w.normalized_cumulative(edges))
     # W is non-decreasing; clip the roundoff-level negatives a monotone
     # primitive can still produce when differenced.
     return np.maximum(increments, 0.0)
@@ -214,14 +230,11 @@ def _block_weights(ed: EmpiricalDistribution, w: WeightSpec) -> np.ndarray:
 
 def premium(ed: EmpiricalDistribution, w: WeightSpec) -> float:
     """The w-weighted premium of the sample, evaluated block-exactly through the cumulative weight."""
-    return _premium(ed, w, _block_weights(ed, w))
+    return _premium(ed, _block_weights(ed, w))
 
 
-def _premium(ed: EmpiricalDistribution, w: WeightSpec, blocks: np.ndarray) -> float:
-    total = w.total_weight()
-    if total <= 0.0:
-        raise DegenerateWeightError("weight function integrates to zero")
-    return float(np.sum(ed.values * blocks)) / total
+def _premium(ed: EmpiricalDistribution, blocks: np.ndarray) -> float:
+    return float(np.sum(ed.values * blocks))
 
 
 def loading_covariance(ed: EmpiricalDistribution, w: WeightSpec) -> float:
@@ -230,14 +243,14 @@ def loading_covariance(ed: EmpiricalDistribution, w: WeightSpec) -> float:
     Non-negative exactly when the premium carries non-negative loading.
     Block-exact like ``premium``.
     """
-    return _covariance(ed, w, _block_weights(ed, w))
+    return _covariance(ed, w, premium(ed, w))
 
 
-def _covariance(ed: EmpiricalDistribution, w: WeightSpec, blocks: np.ndarray) -> float:
+def _covariance(ed: EmpiricalDistribution, w: WeightSpec, prem: float) -> float:
+    """W(1) * (premium - mean), the covariance of the quantile with the unnormalized weight."""
     if ed.n == 1 or ed.values[0] == ed.values[-1]:
         return 0.0
-    weighted = float(np.sum(ed.values * blocks))
-    return weighted - ed.mean() * w.total_weight()
+    return (prem - ed.mean()) * w.total_weight()
 
 
 def v_theta(ed: EmpiricalDistribution, quad_n: int = 10_000) -> tuple[SampledFunction, float]:
@@ -352,9 +365,9 @@ class LoadingReport:
 def loading_report(ed: EmpiricalDistribution, w: WeightSpec) -> LoadingReport:
     """Premium, covariance, and the equivalent ratio forms in one pass."""
     blocks = _block_weights(ed, w)
-    prem = _premium(ed, w, blocks)
+    prem = _premium(ed, blocks)
     net = ed.mean()
-    cov = _covariance(ed, w, blocks)
+    cov = _covariance(ed, w, prem)
     sample_range = float(ed.values[-1] - ed.values[0])
     tol = 1e-9 * sample_range
     centered = ed.values - net

@@ -12,6 +12,7 @@ identities are not at stake.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -23,6 +24,36 @@ def assert_close(actual: float, expected: float, rel: float = 1e-12, abs_: float
     assert math.isclose(actual, expected, rel_tol=rel, abs_tol=abs_), (
         f"{actual!r} != {expected!r} (rel_tol={rel}, abs_tol={abs_})"
     )
+
+
+U = 2.0**-53  # unit roundoff of float64
+TINY = 2.0**-1074  # smallest subnormal
+
+
+def assert_sum_within_bound(got: float, terms: list[float], nonneg: bool, slack: float = 0.0) -> None:
+    """``got`` is within (n + 1)·u·Σ|terms| + slack of the exact sum of the n rounded ``terms``.
+
+    That bounds the error of any summation order, fused multiply-adds
+    included (Higham, "The accuracy of floating point summation", 1993).
+    The check allows one u·Σ|terms| more for second-order terms, and a
+    subnormal per term for products that underflow.  When a term or
+    the exact sum overflows, a sum of non-negative terms must be ``inf`` and
+    a signed sum is not checked.
+    """
+    try:
+        exact = math.fsum(terms)
+        magnitude = math.fsum(map(abs, terms))
+    except (OverflowError, ValueError):  # a huge partial sum, or inf - inf among the terms
+        exact = magnitude = math.inf
+    if not math.isfinite(exact):
+        assert not nonneg or got == math.inf, (got, exact)
+        return
+    n = len(terms)
+    bound = (n + 2) * U * magnitude + n * TINY + slack
+    if math.isinf(got):
+        assert abs(exact) + bound >= sys.float_info.max, (got, exact)
+    else:
+        assert abs(got - exact) <= bound, (got, exact, bound)
 
 
 def _assemble(lengths: np.ndarray, slopes: np.ndarray, x0: float, y0: float) -> SampledFunction:

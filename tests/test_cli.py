@@ -182,6 +182,25 @@ class TestExitContract:
         assert (code, out) == (2, "")
         assert err == "error: the powered sum for p=400.0 overflows float64\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_total_variation_is_an_input_error(self, run, tmp_path):
+        peaks = tmp_path / "peaks.csv"
+        peaks.write_text("x,y\n0,0\n1,1.5e308\n2,0\n3,1.5e308\n4,0\n", encoding="utf-8")
+        atoms = tmp_path / "atoms.csv"
+        atoms.write_text("location,weight\n0,1e308\n1,1e308\n", encoding="utf-8")
+        for argv in (["indices", str(peaks)], ["measure", str(atoms)]):
+            code, out, err = run(argv)
+            assert (code, out) == (2, "")
+            assert err == "error: the total variation overflows float64\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_total_weight_is_a_parameter_error(self, run):
+        code, out, err = run(
+            ["premium", "tests/fixtures/sample_quartet.csv", "--weight", "esscher", "--param", "800"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the total weight of esscher(800.0) overflows float64\n"
+
     def test_non_utf8_file_names_the_byte(self, run, tmp_path):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(b"x,y\n0,1\n1,\xe9\n")

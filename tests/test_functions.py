@@ -20,7 +20,7 @@ from monotonia import (
     total_variation,
 )
 
-from helpers import assert_close, dyadic_function, dyadic_functions
+from helpers import assert_close, assert_sum_within_bound, dyadic_function, dyadic_functions
 
 
 class TestSampledFunctionValidation:
@@ -206,7 +206,6 @@ class TestIntegrateTransform:
             DerivativeTransform.pos_part(),
             DerivativeTransform.abs_value(),
             DerivativeTransform.neg_part_power(2.0),
-            DerivativeTransform.pos_part_power(1.5),
             DerivativeTransform.abs_power(3.0),
         ]
         for _ in range(50):
@@ -216,6 +215,20 @@ class TestIntegrateTransform:
                 for length, slope in zip(profile.lengths, profile.slopes):
                     direct += float(length) * tr(float(slope))
                 assert integrate_transform(profile, tr) == direct
+
+    def test_inexact_power_is_within_the_summation_bound(self):
+        # x**1.5 of a dyadic slope is not a dyadic number, so the sum is no longer exact.
+        rng = np.random.default_rng(21)
+        tr = DerivativeTransform.pos_part_power(1.5)
+        for _ in range(50):
+            profile = derivative(dyadic_function(rng, max_cells=40))
+            terms = []
+            slack = 0.0
+            for length, slope in zip(profile.lengths.tolist(), profile.slopes.tolist()):
+                if slope > 0.0:
+                    terms.append(length * tr(slope))
+                    slack += length * 4.0 * math.ulp(tr(slope))
+            assert_sum_within_bound(integrate_transform(profile, tr), terms, True, slack)
 
     def test_one_minus_cos_negative_part(self):
         xs = np.linspace(0.0, 3 * math.pi / 2, 100_000)

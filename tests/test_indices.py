@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monotonia import (
+    InvalidInputError,
     InvalidParameterError,
     SampledFunction,
     UndefinedIndexError,
@@ -253,3 +254,15 @@ class TestMinimizerOracle:
                 )
                 value = float(np.sum(lengths * np.abs(slopes - candidate)))
                 assert value >= best - 1e-12 * max(1.0, best)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingTotalVariation:
+    # Each cell's rise is finite, but the total variation 6e308 is not.
+    PEAKS = SampledFunction([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.5e308, 0.0, 1.5e308, 0.0])
+
+    @pytest.mark.parametrize("index", [report, normalized_indices, lom, loi_norm])
+    def test_raises_instead_of_inf_or_nan(self, index):
+        with pytest.raises(InvalidInputError) as excinfo:
+            index(self.PEAKS)
+        assert str(excinfo.value) == "the total variation overflows float64"

@@ -294,3 +294,21 @@ class TestDistanceToCone:
             for mu in itertools.product(grid, repeat=3)
         )
         assert best == lon(nu) == 2.5
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingTotalVariation:
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            DiscreteSignedMeasure([0.0, 1.0], [1e308, 1e308]),
+            GridDensityMeasure([2.0, 2.0], [1e308, -1e308]),
+            # Each component is finite; their sum is not.
+            MixedSignedMeasure(DiscreteSignedMeasure([0.0], [1e308]), GridDensityMeasure([1.0], [-1e308])),
+        ],
+    )
+    def test_raises_instead_of_inf_or_nan(self, nu):
+        for index in (lop_norm, lon_norm, los_norm, lop, los, lambda m: m.total_variation()):
+            with pytest.raises(InvalidInputError) as excinfo:
+                index(nu)
+            assert str(excinfo.value) == "the total variation overflows float64"

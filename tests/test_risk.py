@@ -458,3 +458,39 @@ class TestKampsSmallParameter:
         exact = 2.0 - kamps_cumulative_exact(1e-8, 0.5) / kamps_cumulative_exact(1e-8, 1.0)
         assert_close(premium(coin, WeightSpec.kamps(1e-8)), exact, rel=1e-12)
         assert_close(exact, limit - 1e-8 / 24.0, rel=1e-15)
+
+
+def esscher_normalized_exact(lam: float, t: float) -> Decimal:
+    """W(t)/W(1) = (exp(lam t) - 1)/(exp(lam) - 1) in 700-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        lam_d, t_d = Decimal(lam), Decimal(t)
+        return ((lam_d * t_d).exp() - 1) / (lam_d.exp() - 1)
+
+
+@pytest.mark.filterwarnings("error")
+class TestEsscherLargeParameter:
+    # expm1(lam t)/lam overflows for lam above about 709.
+    LAMBDAS = (1e-8, 1.0, 800.0, 1e3)
+
+    def test_normalized_cumulative_matches_high_precision(self):
+        t = np.array([0.0, 0.001, 0.25, 0.5, 0.9, 0.999, 1.0])
+        for lam in self.LAMBDAS:
+            got = WeightSpec.esscher(lam).normalized_cumulative(t)
+            for ti, gi in zip(t.tolist(), got.tolist()):
+                # exp(lam (t - 1)) carries lam |t - 1| rounding errors of its argument.
+                assert_close(gi, float(esscher_normalized_exact(lam, ti)), rel=(lam + 8.0) * 2.0**-52, abs_=0.0)
+
+    def test_premium_matches_high_precision(self):
+        for values in ([1.0, 2.0, 3.0], [0.5, 1.0, 1.0, 4.0, 7.25]):
+            ed = EmpiricalDistribution(values)
+            n = len(values)
+            for lam in self.LAMBDAS:
+                cum = [esscher_normalized_exact(lam, i / n) for i in range(n + 1)]
+                exact = float(sum(Decimal(v) * (b - a) for v, a, b in zip(values, cum, cum[1:])))
+                assert_close(premium(ed, WeightSpec.esscher(lam)), exact, rel=1e-12, abs_=0.0)
+
+    def test_covariance_names_the_overflowing_total_weight(self):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            loading_covariance(EmpiricalDistribution([1.0, 2.0, 3.0]), WeightSpec.esscher(800.0))
+        assert str(excinfo.value) == "the total weight of esscher(800.0) overflows float64"
