@@ -17,8 +17,8 @@ Exact guarantees beyond that:
 
 * a zero result is +0.0, and an empty input gives 0.0;
 * a power of 1 gives the linear code's result;
-* ``sign_split_sums``' first three results are the NEG, POS and ABS
-  reductions bit for bit, so ``lom``, ``lop`` and the normalised indices
+* ``sign_split_sums``' results are the NEG, POS and ABS reductions bit for
+  bit, so ``lom``, ``lop`` and the normalised indices
   agree exactly with ``loi``, ``lod`` and ``total_variation``;
 * a term that overflows makes a sum of non-negative terms ``inf``.
 """
@@ -75,6 +75,6 @@ def transform_reduce(lengths: np.ndarray, values: np.ndarray, code: int, p: floa
     return _dot(lengths[cells], bases)
 
 
-def sign_split_sums(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, float, float]:
-    """(negative mass, positive mass, total mass, signed total), the first three as the single reductions give them."""
-    return _neg(lengths, values), _pos(lengths, values), _abs(lengths, values), _dot(lengths, values)
+def sign_split_sums(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
+    """(negative mass, positive mass, total mass), as the single reductions give them."""
+    return _neg(lengths, values), _pos(lengths, values), _abs(lengths, values)

@@ -271,7 +271,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
 def _cmd_measure(args) -> tuple[dict, int]:
     measure, warnings = _load_atoms(args.file)
     parts = jordan(measure)
-    neg_mass, pos_mass, _, _ = _split_measure(measure)
+    neg_mass, pos_mass, _ = _split_measure(measure)
     tv = neg_mass + pos_mass
     normalized = _normalize(neg_mass, pos_mass, tv) or (None, None, None)
     results = {

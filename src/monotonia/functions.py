@@ -284,6 +284,13 @@ def derivative(g: StandardizedFunction | SampledFunction) -> DerivativeProfile:
         ) from None
 
 
+_LINEAR_SUMS = {
+    _backend.NEG: "the integral of the negative part",
+    _backend.POS: "the integral of the positive part",
+    _backend.ABS: "the total variation",
+}
+
+
 def integrate_transform(profile: DerivativeProfile, transform: DerivativeTransform) -> float:
     """Integrate ``transform(slope)`` against cell lengths.
 
@@ -291,8 +298,8 @@ def integrate_transform(profile: DerivativeProfile, transform: DerivativeTransfo
     ``length * transform(slope)`` over cells.  Built-in transforms sum in
     NumPy blocks, within (n + 1)·u·Σ|terms| (u = 2**-53) of the exact sum of
     the n rounded terms, plus pow's error for powers; exactly where every
-    term and partial sum is exact.  Custom transforms are summed left to
-    right.
+    term and partial sum is exact.  A built-in sum that overflows float64
+    raises InvalidInputError.  Custom transforms are summed left to right.
     """
     code, p = transform.code, transform.p
     if code == DerivativeTransform._CUSTOM:
@@ -309,8 +316,9 @@ def integrate_transform(profile: DerivativeProfile, transform: DerivativeTransfo
             acc += float(profile.lengths[i]) * float(value)
         return acc
     total = float(_backend.transform_reduce(profile.lengths, profile.slopes, code, p))
-    if math.isinf(total) and code in (_backend.NEG_POW, _backend.POS_POW, _backend.ABS_POW):
-        raise InvalidInputError(f"the powered sum for p={p!r} overflows float64")
+    if math.isinf(total):
+        what = _LINEAR_SUMS.get(code, f"the powered sum for p={p!r}")
+        raise InvalidInputError(f"{what} overflows float64")
     return total
 
 

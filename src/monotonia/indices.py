@@ -76,11 +76,10 @@ def lom(g: StandardizedFunction | SampledFunction) -> float:
 
 
 def _split(profile: DerivativeProfile) -> tuple[float, float, float]:
-    neg, pos, tv, _ = _finite_split(_backend.sign_split_sums(profile.lengths, profile.slopes))
-    return neg, pos, tv
+    return _finite_split(_backend.sign_split_sums(profile.lengths, profile.slopes))
 
 
-def _finite_split(split: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+def _finite_split(split: tuple[float, float, float]) -> tuple[float, float, float]:
     """A sign split whose total variation is finite, so neither part nor any ratio of them is inf or NaN."""
     if math.isinf(split[2]):
         raise InvalidInputError("the total variation overflows float64")

@@ -86,8 +86,7 @@ class DiscreteSignedMeasure:
         return [(float(x), float(w)) for x, w in zip(self.locations, self.weights)]
 
     def total_variation(self) -> float:
-        _, _, tv, _ = _split_measure(self)
-        return tv
+        return _split_measure(self)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +119,7 @@ class GridDensityMeasure:
         return cls(profile.lengths, profile.slopes)
 
     def total_variation(self) -> float:
-        _, _, tv, _ = _split_measure(self)
-        return tv
+        return _split_measure(self)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +141,7 @@ class MixedSignedMeasure:
             raise InvalidInputError("grid component must be a GridDensityMeasure")
 
     def total_variation(self) -> float:
-        _, _, tv, _ = _split_measure(self)
-        return tv
+        return _split_measure(self)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +167,8 @@ def _freeze_index(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_measure(nu) -> tuple[float, float, float, float]:
-    """Return (mass below zero, mass above zero, total variation, signed total)."""
+def _split_measure(nu) -> tuple[float, float, float]:
+    """Return (mass below zero, mass above zero, total variation)."""
     if isinstance(nu, DiscreteSignedMeasure):
         split = _backend.sign_split_sums(np.ones_like(nu.weights), nu.weights)
     elif isinstance(nu, GridDensityMeasure):
@@ -213,25 +210,22 @@ def jordan(nu: DiscreteSignedMeasure | GridDensityMeasure) -> JordanPair:
 
 def lop(nu) -> float:
     """Lack of positivity: total mass of the negative part, the distance to the positive cone."""
-    neg, _, _, _ = _split_measure(nu)
-    return neg
+    return _split_measure(nu)[0]
 
 
 def lon(nu) -> float:
     """Lack of negativity: total mass of the positive part."""
-    _, pos, _, _ = _split_measure(nu)
-    return pos
+    return _split_measure(nu)[1]
 
 
 def los(nu) -> float:
     """Lack of sign-definiteness: twice the smaller of lop and lon."""
-    neg, pos, _, _ = _split_measure(nu)
+    neg, pos, _ = _split_measure(nu)
     return 2.0 * min(neg, pos)
 
 
 def _normalized_split(nu) -> tuple[float, float, float]:
-    neg, pos, tv, _ = _split_measure(nu)
-    norm = _normalize(neg, pos, tv)
+    norm = _normalize(*_split_measure(nu))
     if norm is None:
         raise UndefinedIndexError(
             "normalized positivity indices are undefined for the zero measure"

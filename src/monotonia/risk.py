@@ -44,12 +44,6 @@ __all__ = [
 
 WEIGHT_CATALOG = ("indicator", "proportional_hazards", "size_biased", "esscher", "kamps")
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-# Weights whose catalog form is non-decreasing on [0, 1] (proportional_hazards
-# only for parameter <= 1); for these the loading is provably non-negative.
-MONOTONE_WEIGHTS = ("indicator", "size_biased", "esscher", "kamps")
-
 # Taylor coefficients of chi(x) = sum_k (-x)**k / (k + 2)!, highest power first.
 # Below x = 1/8 ten terms leave a truncation error under 1e-17 relative; above
 # it the closed form of the kamps weight loses about 2 eps / x < 2e-15 to
@@ -169,7 +163,16 @@ class WeightSpec:
 
     def cumulative(self, t) -> np.ndarray:
         """W(t) = integral of w from 0 to t, vectorized over t in [0, 1]."""
-        t = np.asarray(t, dtype=np.float64)
+        return self._finite_cumulative(t, "cumulative weight")
+
+    def _finite_cumulative(self, t, what: str) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            cum = self._cumulative(np.asarray(t, dtype=np.float64))
+        if np.any(np.isinf(cum)):
+            raise InvalidParameterError(f"the {what} of {self.kind}({self.param!r}) overflows float64")
+        return cum
+
+    def _cumulative(self, t: np.ndarray) -> np.ndarray:
         p = self.param
         if self.kind == "indicator":
             return np.maximum(0.0, t - p)
@@ -200,11 +203,7 @@ class WeightSpec:
 
     def total_weight(self) -> float:
         """The normalizing constant, W(1)."""
-        with np.errstate(over="ignore"):
-            total = float(self.cumulative(1.0))
-        if math.isinf(total):
-            raise InvalidParameterError(f"the total weight of {self.kind}({self.param!r}) overflows float64")
-        return total
+        return float(self._finite_cumulative(1.0, "total weight"))
 
     def normalized_cumulative(self, t) -> np.ndarray:
         """W(t) / W(1), finite also where W(1) overflows (esscher at large parameters)."""
@@ -216,7 +215,8 @@ class WeightSpec:
         total = self.total_weight()
         if total <= 0.0:
             raise DegenerateWeightError("weight function integrates to zero")
-        return self.cumulative(t) / total
+        # W is non-decreasing, so no W(t) overflows where W(1) does not.
+        return self._cumulative(np.asarray(t, dtype=np.float64)) / total
 
 
 def _block_weights(ed: EmpiricalDistribution, w: WeightSpec) -> np.ndarray:
@@ -253,46 +253,40 @@ def _covariance(ed: EmpiricalDistribution, w: WeightSpec, prem: float) -> float:
     return (prem - ed.mean()) * w.total_weight()
 
 
-def v_theta(ed: EmpiricalDistribution, quad_n: int = 10_000) -> tuple[SampledFunction, float]:
+def v_theta(ed: EmpiricalDistribution) -> tuple[SampledFunction, float]:
     """The tail-covariance function v and its integral theta.
 
     v(t) = cov of the quantile function with the indicator of (t, 1]; it
-    vanishes at both endpoints and is non-negative in between.  Returned as
-    samples on a uniform grid of ``quad_n`` + 1 points with theta the exact
-    integral of their piecewise-linear interpolant.
+    vanishes at both endpoints and is non-negative in between.  The quantile
+    is constant on each block ((i-1)/n, i/n], so v is linear between the knots
+    i/n: it is returned exactly as its n + 1 knot values, and theta is the
+    exact integral of that interpolant.
     """
-    if quad_n < 1:
-        raise InvalidParameterError(f"grid size must be at least 1, got {quad_n}")
     n = ed.n
-    grid = np.arange(quad_n + 1, dtype=np.float64) / quad_n
-    if n == 1 or ed.values[0] == ed.values[-1]:
-        vals = np.zeros(quad_n + 1)
-        return SampledFunction(grid, vals), 0.0
-
-    # suffix[i] = integral of the quantile step function over (i/n, 1],
-    # accumulated in extended precision to keep cancellation below the
-    # asserted bound; mean_total reuses suffix[0] so v(0) is exactly zero.
-    block_masses = ed.values.astype(np.longdouble) / n
-    suffix = np.concatenate((np.cumsum(block_masses[::-1])[::-1], [np.longdouble(0.0)]))
-    mean_total = suffix[0]
-
-    block = np.clip(np.ceil(grid * n).astype(np.int64), 1, n)
-    # Remaining fraction of the current block, in units of a full block, so
-    # that t = 0 reproduces the cumsum total term-for-term and both endpoint
-    # values come out exactly zero.
-    within = np.clip(block.astype(np.longdouble) - grid.astype(np.longdouble) * n, 0.0, 1.0)
-    tail = suffix[block] + block_masses[block - 1] * within
-    vals = (tail - (1.0 - grid.astype(np.longdouble)) * mean_total).astype(np.float64)
-
-    scale = max(1.0, float(np.max(np.abs(ed.values))))
-    if np.min(vals) < -1e-12 * scale:
+    vals = np.zeros(n + 1)
+    tol = 0.0
+    if ed.values[0] != ed.values[-1]:
+        # v(i/n) = i (n - i) / n^2 * (mean of the top n - i - mean of the bottom i).
+        # v is unchanged by a shift; centred at a middle order statistic, the
+        # partial sums do not cancel.
+        centred = ed.values - ed.values[n // 2]
+        i = np.arange(1, n, dtype=np.float64)
+        rest = i[::-1]  # n - i
+        inner = np.cumsum(centred[:0:-1])[::-1] / rest
+        inner -= np.cumsum(centred[:-1]) / i
+        inner *= i * rest
+        vals[1:-1] = inner / float(n) ** 2
+        # Each mean is within (count + 1) u max|centred| of its exact value, so
+        # v, at most a quarter of their difference, is within this of its own.
+        tol = (n + 4) * 2.0**-53 * max(-centred[0], centred[-1])
+    if np.min(vals) < -tol:
         raise NumericalInvariantError(
             f"tail covariance dipped below tolerance: min {np.min(vals)!r}"
         )
     if vals[0] != 0.0 or vals[-1] != 0.0:
         raise NumericalInvariantError("tail covariance must vanish at both endpoints")
-    theta = float(_trapezoid(vals, dx=1.0 / quad_n))
-    return SampledFunction(grid, vals), theta
+    knots = np.arange(n + 1, dtype=np.float64) / n
+    return SampledFunction(knots, vals), float(np.sum(vals)) / n
 
 
 def _value_split(g: SampledFunction) -> tuple[float, float]:

@@ -30,23 +30,22 @@ U = 2.0**-53  # unit roundoff of float64
 TINY = 2.0**-1074  # smallest subnormal
 
 
-def assert_sum_within_bound(got: float, terms: list[float], nonneg: bool, slack: float = 0.0) -> None:
-    """``got`` is within (n + 1)·u·Σ|terms| + slack of the exact sum of the n rounded ``terms``.
+def assert_sum_within_bound(got: float, terms: list[float], slack: float = 0.0) -> None:
+    """``got`` is within (n + 1)·u·Σ|terms| + slack of the exact sum of the n rounded, non-negative ``terms``.
 
     That bounds the error of any summation order, fused multiply-adds
     included (Higham, "The accuracy of floating point summation", 1993).
     The check allows one u·Σ|terms| more for second-order terms, and a
     subnormal per term for products that underflow.  When a term or
-    the exact sum overflows, a sum of non-negative terms must be ``inf`` and
-    a signed sum is not checked.
+    the exact sum overflows, ``got`` must be ``inf``.
     """
     try:
         exact = math.fsum(terms)
         magnitude = math.fsum(map(abs, terms))
-    except (OverflowError, ValueError):  # a huge partial sum, or inf - inf among the terms
+    except OverflowError:  # a huge partial sum
         exact = magnitude = math.inf
     if not math.isfinite(exact):
-        assert not nonneg or got == math.inf, (got, exact)
+        assert got == math.inf, (got, exact)
         return
     n = len(terms)
     bound = (n + 2) * U * magnitude + n * TINY + slack

@@ -266,3 +266,16 @@ class TestOverflowingTotalVariation:
         with pytest.raises(InvalidInputError) as excinfo:
             index(self.PEAKS)
         assert str(excinfo.value) == "the total variation overflows float64"
+
+    @pytest.mark.parametrize(
+        "index, what",
+        [
+            (total_variation, "the total variation"),
+            (loi, "the integral of the negative part"),
+            (lod, "the integral of the positive part"),
+        ],
+    )
+    def test_single_reductions_name_their_own_sum(self, index, what):
+        with pytest.raises(InvalidInputError) as excinfo:
+            index(self.PEAKS)
+        assert str(excinfo.value) == f"{what} overflows float64"

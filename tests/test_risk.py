@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,21 +269,19 @@ class TestLoadingCovariance:
 
 class TestVTheta:
     def test_coin_sample_closed_form(self):
-        fn, theta = v_theta(COIN, quad_n=8)
+        fn, theta = v_theta(COIN)
+        assert fn.xs.tolist() == [0.0, 0.5, 1.0]
         expected = [min(t, 1.0 - t) / 2.0 for t in fn.xs]
         assert fn.ys.tolist() == expected
         assert theta == 0.125
 
-    def test_theta_stable_under_grid_refinement(self):
-        _, coarse = v_theta(COIN, quad_n=8)
-        _, fine = v_theta(COIN, quad_n=10_000)
-        assert coarse == fine == 0.125
-
     def test_constant_sample_vanishes(self):
-        fn, theta = v_theta(CONSTANT, quad_n=16)
+        fn, theta = v_theta(CONSTANT)
+        assert fn.xs.tolist() == [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]
         assert theta == 0.0
         assert np.all(fn.ys == 0.0)
-        fn, theta = v_theta(SINGLE, quad_n=16)
+        fn, theta = v_theta(SINGLE)
+        assert fn.xs.tolist() == [0.0, 1.0]
         assert theta == 0.0
         assert np.all(fn.ys == 0.0)
 
@@ -290,7 +289,7 @@ class TestVTheta:
         rng = np.random.default_rng(6464)
         for _ in range(30):
             ed = random_sample(rng, max_n=20)
-            fn, theta = v_theta(ed, quad_n=997)
+            fn, theta = v_theta(ed)
             assert fn.ys[0] == 0.0
             assert fn.ys[-1] == 0.0
             scale = max(1.0, float(np.max(np.abs(ed.values))))
@@ -299,29 +298,36 @@ class TestVTheta:
 
     def test_theta_matches_moment_formula(self):
         # Integrating v over [0, 1] and swapping the order of integration
-        # gives theta = sum x_(i) (2i - 1) / (2 n^2) - mean / 2.
+        # gives theta = sum x_(i) (2i - 1) / (2 n^2) - mean / 2, evaluated here
+        # in exact rational arithmetic.
         rng = np.random.default_rng(5150)
-        for _ in range(20):
-            ed = random_sample(rng, max_n=15)
-            _, theta = v_theta(ed, quad_n=10_000)
-            i = np.arange(1, ed.n + 1)
-            expected = float(np.sum(ed.values * (2 * i - 1))) / (2.0 * ed.n**2) - ed.mean() / 2.0
-            assert_close(theta, expected, rel=1e-6, abs_=1e-6)
+        for n in (2, 3, 7, 100, 9999, 30001):
+            for offset in (0.0, 1e6, -1e12):
+                ed = EmpiricalDistribution(rng.uniform(-5.0, 5.0, n) + offset)
+                xs = [Fraction(x) for x in ed.values.tolist()]
+                exact = sum(x * (2 * i - 1) for i, x in enumerate(xs, 1)) / (2 * n * n) - sum(xs) / (2 * n)
+                _, theta = v_theta(ed)
+                assert_close(theta, float(exact), rel=1e-14, abs_=0.0)
+
+    def test_knot_values_match_exact_tail_covariance(self):
+        rng = np.random.default_rng(5151)
+        for n in (2, 5, 13):
+            ed = EmpiricalDistribution(rng.uniform(-5.0, 5.0, n) - 1e12)
+            xs = [Fraction(x) for x in ed.values.tolist()]
+            mean = sum(xs) / n
+            fn, _ = v_theta(ed)
+            assert fn.xs.tolist() == (np.arange(n + 1) / n).tolist()
+            for i in range(n + 1):
+                exact = sum(xs[i:]) / n - Fraction(n - i, n) * mean
+                assert_close(float(fn.ys[i]), float(exact), rel=1e-14, abs_=0.0)
 
     def test_nonconstant_sample_has_positive_theta(self):
         _, theta = v_theta(QUARTET)
         assert theta > 0.0
 
-    def test_minimal_grid(self):
-        fn, theta = v_theta(COIN, quad_n=1)
-        assert fn.ys.tolist() == [0.0, 0.0]
-        assert theta == 0.0
-
-    def test_invalid_grid_size(self):
-        with pytest.raises(InvalidParameterError):
-            v_theta(COIN, quad_n=0)
-        with pytest.raises(InvalidParameterError):
-            v_theta(COIN, quad_n=-3)
+    def test_grid_size_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            v_theta(COIN, quad_n=10_000)
 
 
 class TestGainLoss:
@@ -493,4 +499,12 @@ class TestEsscherLargeParameter:
     def test_covariance_names_the_overflowing_total_weight(self):
         with pytest.raises(InvalidParameterError) as excinfo:
             loading_covariance(EmpiricalDistribution([1.0, 2.0, 3.0]), WeightSpec.esscher(800.0))
+        assert str(excinfo.value) == "the total weight of esscher(800.0) overflows float64"
+
+    def test_cumulative_names_the_overflowing_weight(self):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            WeightSpec.esscher(800.0).cumulative([0.5, 1.0])
+        assert str(excinfo.value) == "the cumulative weight of esscher(800.0) overflows float64"
+        with pytest.raises(InvalidParameterError) as excinfo:
+            WeightSpec.esscher(800.0).total_weight()
         assert str(excinfo.value) == "the total weight of esscher(800.0) overflows float64"
