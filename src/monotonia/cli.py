@@ -89,9 +89,9 @@ def _read_csv(path: str, ncols: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _parse_table(text: str, ncols: int) -> tuple[np.ndarray, np.ndarray] | None:
     """``_read_csv``'s result in one ``np.loadtxt`` call, or None where it cannot be sure of it."""
-    # Quoted fields, NUL bytes and fields over the csv module's size limit
-    # are for the csv module to parse or reject.
-    if '"' in text or "\0" in text:
+    # NUL bytes, quoted fields below the header and fields over the csv
+    # module's size limit are for the csv module to parse or reject.
+    if "\0" in text:
         return None
     # The line breaks of open(newline=""): \r\n, a lone \r, \n.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -101,7 +101,18 @@ def _parse_table(text: str, ncols: int) -> tuple[np.ndarray, np.ndarray] | None:
     first = 0
     while first < len(lines) and not lines[first].replace(",", "").strip():
         first += 1
-    if first < len(lines) and not _all_numeric([c.strip() for c in lines[first].split(",")]):
+    header = lines[first] if first < len(lines) else ""
+    if text.count('"') != header.count('"'):
+        return None
+    if '"' in header:
+        # A quoted header, as spreadsheets write it.  The csv module reads it,
+        # and must end the row on this line, as it does reading the whole file.
+        reader = csv.reader([header, ""])
+        cells = [c.strip() for c in next(reader)]
+        if reader.line_num != 1 or not any(cells) or _all_numeric(cells):
+            return None
+        first += 1
+    elif first < len(lines) and not _all_numeric([c.strip() for c in header.split(",")]):
         first += 1
     body = lines[first:]
     if not any(body):

@@ -1,11 +1,16 @@
 """Piecewise-linear model of sampled functions.
 
 A sampled function is interpolated linearly between its grid points; its
-derivative is then piecewise constant.  Every index in this package reduces to
-integrating a transform of that derivative against cell lengths, which the
+derivative is then piecewise constant, and the derivative measure puts mass
+f(b) − f(a) on a cell [a, b].  Every index in this package integrates a
+transform of that derivative against cell lengths, which the
 piecewise-constant model evaluates exactly (no quadrature error at the model
-level).  Vertical jumps are not representable: duplicate abscissas are
-rejected and callers must pre-process data with ties.
+level).  A linear index (the negative part, the positive part, the
+magnitude) is therefore a sum of the parts of the increments Δy: each term
+is rounded once, where Δy is formed, and needs no lengths and no slopes.
+Only the powered indices and the survival curves use slopes.  Vertical
+jumps are not representable: duplicate abscissas are rejected and callers
+must pre-process data with ties.
 """
 
 from __future__ import annotations
@@ -148,6 +153,8 @@ class DerivativeProfile:
 
     lengths: np.ndarray
     slopes: np.ndarray
+    # The ordinates of the samples ``derivative`` took the slopes from, if it did.
+    _ys: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         lengths = _as_float_array(self.lengths, "lengths")
@@ -168,6 +175,17 @@ class DerivativeProfile:
         if math.isinf(span):
             raise InvalidInputError("the total length of the cells overflows float64")
         return span
+
+    def masses(self) -> np.ndarray:
+        """The signed mass of each cell, g(b) − g(a).
+
+        For a profile that ``derivative`` built these are the increments of
+        its samples, each rounded once; for one built from arrays, lengths·slopes.
+        """
+        with np.errstate(over="ignore"):
+            if self._ys is not None:
+                return np.diff(self._ys)
+            return self.lengths * self.slopes
 
 
 @dataclass(frozen=True)
@@ -274,7 +292,7 @@ def derivative(g: StandardizedFunction | SampledFunction) -> DerivativeProfile:
     lengths.flags.writeable = False
     slopes.flags.writeable = False
     try:
-        return DerivativeProfile(lengths, slopes)
+        profile = DerivativeProfile(lengths, slopes)
     except InvalidInputError:
         # Cells of valid samples have positive length: only an overflow leaves one non-finite.
         i = int(np.argmin(np.isfinite(lengths) & np.isfinite(slopes)))
@@ -282,6 +300,25 @@ def derivative(g: StandardizedFunction | SampledFunction) -> DerivativeProfile:
             f"the difference quotient of cell {i} on [{float(f.xs[i])!r}, {float(f.xs[i + 1])!r}] "
             "overflows float64"
         ) from None
+    object.__setattr__(profile, "_ys", f.ys)
+    return profile
+
+
+def _increment_blocks(f: SampledFunction):
+    """(first cell, increments) of ``f`` over blocks of ``_backend.BLOCK`` cells.
+
+    The increments f(b) − f(a) are the masses of df, whose parts the linear
+    indices sum.  Each block is written over the one before, so they never
+    exist all at once, and an index allocates nothing the size of the samples.
+    """
+    ys = f.ys
+    n = ys.shape[0] - 1
+    buf = np.empty(min(_backend.BLOCK, n))
+    for start in range(0, n, _backend.BLOCK):
+        block = buf[: min(_backend.BLOCK, n - start)]
+        with np.errstate(over="ignore"):
+            np.subtract(ys[start + 1 : start + 1 + block.shape[0]], ys[start : start + block.shape[0]], out=block)
+        yield start, block
 
 
 _LINEAR_SUMS = {
@@ -291,15 +328,44 @@ _LINEAR_SUMS = {
 }
 
 
+def _checked_sum(total: float, code: int) -> float:
+    """A linear sum, or InvalidInputError naming it where it overflows float64."""
+    if math.isinf(total):
+        raise InvalidInputError(f"{_LINEAR_SUMS[code]} overflows float64")
+    return total
+
+
+def _increment_sum(g: StandardizedFunction | SampledFunction, code: int) -> float:
+    """The NEG or POS reduction of the increments of ``g``, as one reduction of all of them gives it."""
+    total = 0.0
+    for _, block in _increment_blocks(_as_sampled(g)):
+        total += _backend.transform_reduce(block, code)
+    return _checked_sum(total, code)
+
+
+def _increment_split(g: StandardizedFunction | SampledFunction) -> tuple[float, float, float]:
+    """``sign_split_sums`` of the increments of ``g``, as one call on all of them gives it."""
+    neg = pos = 0.0
+    for _, block in _increment_blocks(_as_sampled(g)):
+        block_neg, block_pos, _ = _backend.sign_split_sums(block)
+        neg += block_neg
+        pos += block_pos
+    return neg, pos, neg + pos
+
+
 def integrate_transform(profile: DerivativeProfile, transform: DerivativeTransform) -> float:
     """Integrate ``transform(slope)`` against cell lengths.
 
     Exact for the piecewise-linear model: the result is the sum of
-    ``length * transform(slope)`` over cells.  Built-in transforms sum in
-    NumPy blocks, within (n + 1)·u·Σ|terms| (u = 2**-53) of the exact sum of
-    the n rounded terms, plus pow's error for powers; exactly where every
-    term and partial sum is exact.  A built-in sum that overflows float64
-    raises InvalidInputError.  Custom transforms are summed left to right.
+    ``length * transform(slope)`` over cells.  A linear built-in transform
+    (a power of 1 included) sums the parts of the cell masses
+    ``profile.masses()``, which are the increments Δy for a profile of
+    samples; a powered one sums ``length * transform(slope)``.  Built-in
+    transforms sum in NumPy blocks, within (n + 1)·u·Σ|terms| (u = 2**-53) of
+    the exact sum of the n rounded terms, plus pow's error for powers; exactly
+    where every term and partial sum is exact.  A built-in sum that overflows
+    float64 raises InvalidInputError.  Custom transforms are summed left to
+    right.
     """
     code, p = transform.code, transform.p
     if code == DerivativeTransform._CUSTOM:
@@ -315,13 +381,16 @@ def integrate_transform(profile: DerivativeProfile, transform: DerivativeTransfo
                 )
             acc += float(profile.lengths[i]) * float(value)
         return acc
-    total = float(_backend.transform_reduce(profile.lengths, profile.slopes, code, p))
+    if code >= _backend.NEG_POW and p == 1.0:
+        code -= _backend.NEG_POW
+    if code in _LINEAR_SUMS:
+        return _checked_sum(_backend.transform_reduce(profile.masses(), code), code)
+    total = float(_backend.transform_reduce(profile.slopes, code, p, profile.lengths))
     if math.isinf(total):
-        what = _LINEAR_SUMS.get(code, f"the powered sum for p={p!r}")
-        raise InvalidInputError(f"{what} overflows float64")
+        raise InvalidInputError(f"the powered sum for p={p!r} overflows float64")
     return total
 
 
 def total_variation(g: StandardizedFunction | SampledFunction) -> float:
-    """Total rise plus total fall: the integral of the absolute derivative."""
-    return integrate_transform(derivative(g), DerivativeTransform.abs_value())
+    """Total rise plus total fall: the integral of the absolute derivative, Σ|Δy|."""
+    return _checked_sum(_increment_split(g)[2], _backend.ABS)

@@ -93,12 +93,15 @@ class DiscreteSignedMeasure:
 class GridDensityMeasure:
     """Piecewise-constant density on consecutive cells of positive length.
 
-    The measure of cell i is lengths[i] * densities[i]; zero densities are
-    kept (the cell is part of the space, carrying no mass).
+    The measure of cell i, ``masses[i]``, is lengths[i] * densities[i]; zero
+    densities are kept (the cell is part of the space, carrying no mass).
+    The measure of a derivative profile of samples carries their increments
+    as masses, so its indices are the function's bit for bit.
     """
 
     lengths: np.ndarray
     densities: np.ndarray
+    masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lengths = _as_float_array(self.lengths, "lengths")
@@ -112,11 +115,23 @@ class GridDensityMeasure:
             raise InvalidInputError("cell lengths must be positive")
         object.__setattr__(self, "lengths", _freeze(lengths))
         object.__setattr__(self, "densities", _freeze(densities))
+        with np.errstate(over="ignore"):
+            # A mass that overflows makes the total variation overflow, which the indices report.
+            object.__setattr__(self, "masses", _freeze(lengths * densities))
 
     @classmethod
     def from_derivative_profile(cls, profile: DerivativeProfile) -> "GridDensityMeasure":
-        """The measure with density g' against Lebesgue measure on the cells of g."""
-        return cls(profile.lengths, profile.slopes)
+        """The measure with density g' against Lebesgue measure on the cells of g: mass g(b) − g(a) on [a, b]."""
+        return cls._of(profile.lengths, profile.slopes, profile.masses())
+
+    @classmethod
+    def _of(cls, lengths: np.ndarray, densities: np.ndarray, masses: np.ndarray) -> "GridDensityMeasure":
+        """A measure from valid arrays, each frozen already or fresh, and then frozen in place."""
+        nu = object.__new__(cls)
+        for name, value in (("lengths", lengths), ("densities", densities), ("masses", masses)):
+            value.flags.writeable = False
+            object.__setattr__(nu, name, value)
+        return nu
 
     def total_variation(self) -> float:
         return _split_measure(self)[2]
@@ -170,9 +185,9 @@ def _freeze_index(arr: np.ndarray) -> np.ndarray:
 def _split_measure(nu) -> tuple[float, float, float]:
     """Return (mass below zero, mass above zero, total variation)."""
     if isinstance(nu, DiscreteSignedMeasure):
-        split = _backend.sign_split_sums(np.ones_like(nu.weights), nu.weights)
+        split = _backend.sign_split_sums(nu.weights)
     elif isinstance(nu, GridDensityMeasure):
-        split = _backend.sign_split_sums(nu.lengths, nu.densities)
+        split = _backend.sign_split_sums(nu.masses)
     elif isinstance(nu, MixedSignedMeasure):
         parts = (_split_measure(nu.discrete), _split_measure(nu.grid))
         split = tuple(a + b for a, b in zip(*parts))
@@ -191,8 +206,8 @@ def jordan(nu: DiscreteSignedMeasure | GridDensityMeasure) -> JordanPair:
         hahn_pos = np.nonzero(pos)[0]
         hahn_neg = np.nonzero(neg)[0]
     elif isinstance(nu, GridDensityMeasure):
-        positive = GridDensityMeasure(nu.lengths, np.maximum(nu.densities, 0.0))
-        negative = GridDensityMeasure(nu.lengths, np.maximum(-nu.densities, 0.0))
+        positive = GridDensityMeasure._of(nu.lengths, np.maximum(nu.densities, 0.0), np.maximum(nu.masses, 0.0))
+        negative = GridDensityMeasure._of(nu.lengths, np.maximum(-nu.densities, 0.0), np.maximum(-nu.masses, 0.0))
         hahn_pos = np.nonzero(nu.densities >= 0.0)[0]
         hahn_neg = np.nonzero(nu.densities < 0.0)[0]
     else:

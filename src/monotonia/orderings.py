@@ -94,7 +94,7 @@ def _curve(g: StandardizedFunction | SampledFunction, sign: str) -> SurvivalCurv
         parts = np.where(profile.slopes < 0.0, -profile.slopes, 0.0)
     else:
         parts = np.where(profile.slopes > 0.0, profile.slopes, 0.0)
-    _, _, tv = _split(profile)
+    _, _, tv = _split(g)
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
     suffix = np.cumsum(profile.lengths[order][::-1])[::-1]
@@ -115,7 +115,7 @@ def survival_plus(g: StandardizedFunction | SampledFunction) -> SurvivalCurve:
 
 
 def _normalized(g) -> tuple[float, float, float, float]:
-    neg, pos, tv = _split(derivative(g))
+    neg, pos, tv = _split(g)
     norm = _normalize(neg, pos, tv)
     if norm is None:
         raise UndefinedComparisonError("cannot compare constant functions (zero total variation)")

@@ -169,6 +169,8 @@ class WeightSpec:
         with np.errstate(over="ignore"):
             cum = self._cumulative(np.asarray(t, dtype=np.float64))
         if np.any(np.isinf(cum)):
+            if self.kind == "sampled":
+                raise InvalidInputError(f"the {what} of the weight samples overflows float64")
             raise InvalidParameterError(f"the {what} of {self.kind}({self.param!r}) overflows float64")
         return cum
 
@@ -193,7 +195,8 @@ class WeightSpec:
     def _sampled_cumulative(self, t: np.ndarray) -> np.ndarray:
         fn = self.samples
         xs, ys = fn.xs, fn.ys
-        cell_areas = 0.5 * (ys[:-1] + ys[1:]) * np.diff(xs)
+        # Halved before they are added, so two large ordinates cannot overflow.
+        cell_areas = (0.5 * ys[:-1] + 0.5 * ys[1:]) * np.diff(xs)
         cum = np.concatenate(([0.0], np.cumsum(cell_areas)))
         tt = np.clip(t, xs[0], xs[-1])
         idx = np.clip(np.searchsorted(xs, tt, side="right") - 1, 0, xs.shape[0] - 2)

@@ -3,7 +3,8 @@
 Each kernel sum is checked against ``math.fsum`` of the loop's terms within
 the summation error bound, and exactly where the contract is exact: empty
 inputs, zero results, a power of 1, and the sign split against the single
-reductions.
+reductions.  A linear code reduces one array of signed cell masses; a
+powered code takes values and, optionally, their cell lengths.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from helpers import assert_sum_within_bound
 from monotonia import _backend
 from monotonia._backend import ABS, ABS_POW, NEG, NEG_POW, POS, POS_POW
 
-ALL_CODES = (NEG, POS, ABS, NEG_POW, POS_POW, ABS_POW)
+LINEAR_CODES = (NEG, POS, ABS)
+POWER_CODES = (NEG_POW, POS_POW, ABS_POW)
+ALL_CODES = LINEAR_CODES + POWER_CODES
 POWERS = (1.0, 1.5, 2.0, 2.7, 3.0)
 # pow's error on a powered term: np.power was measured within 1 ulp of
 # libm's pow; 4 ulps leave a margin for other CPUs' SIMD routines.
@@ -32,39 +35,42 @@ def libm_pow(x, p):
         return math.inf
 
 
-def reference_terms(lengths, values, code, p=1.0):
-    """The terms ``length * H(value)`` of a plain loop, and the slack pow's error adds to their sum."""
+def reference_terms(values, code, p=1.0, lengths=None):
+    """The terms of a plain loop, and the slack pow's error adds to their sum.
+
+    A linear code's terms are ``H(mass)``; a powered code's are
+    ``length * H(value)**p``, with unit lengths when ``lengths`` is None.
+    """
     terms = []
     slack = 0.0
-    for length, v in zip(lengths.tolist(), values.tolist()):
+    unit = lengths is None
+    for length, v in zip([1.0] * len(values) if unit else lengths.tolist(), values.tolist()):
         if code == NEG:
             if v < 0.0:
-                terms.append(length * (-v))
+                terms.append(-v)
         elif code == POS:
             if v > 0.0:
-                terms.append(length * v)
+                terms.append(v)
         elif code == ABS:
-            terms.append(length * abs(v))
+            terms.append(abs(v))
         elif (code == NEG_POW and v < 0.0) or (code == POS_POW and v > 0.0) or (code == ABS_POW and v != 0.0):
             power = libm_pow(abs(v), p)
-            terms.append(length * power)
+            terms.append(power if unit else length * power)
             if p != 1.0:
                 slack += length * POW_ULPS * math.ulp(power)
     return terms, slack
 
 
-def reference_split_terms(lengths, values):
-    """The loop's terms of the fused sign split: negative, positive and magnitude."""
+def reference_split_terms(masses):
+    """The loop's terms of the sign split: negative, positive and magnitude."""
     neg, pos, mag = [], [], []
-    for length, v in zip(lengths.tolist(), values.tolist()):
+    for v in masses.tolist():
         if v < 0.0:
-            term = length * (-v)
-            neg.append(term)
-            mag.append(term)
+            neg.append(-v)
+            mag.append(-v)
         elif v > 0.0:
-            term = length * v
-            pos.append(term)
-            mag.append(term)
+            pos.append(v)
+            mag.append(v)
     return neg, pos, mag
 
 
@@ -84,7 +90,7 @@ def random_cells(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
 
 
 def extreme_cells(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cells whose products and powers underflow to 0, overflow to inf, or stay ordinary."""
+    """Cells whose sums, products and powers underflow to 0, overflow to inf, or stay ordinary."""
     spread = float(rng.choice([1.0, 20.0, 160.0, 300.0]))
     lengths = 10.0 ** rng.uniform(-spread, spread, n)
     values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-spread - 20.0, spread + 8.0, n)
@@ -93,14 +99,17 @@ def extreme_cells(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndar
 
 
 BLOCK = 1 << 16
+# (lengths, values): the linear codes take the values as masses, the powered ones both.
 EDGE_CASES = {
-    # Every product underflows: each result is +0.0.
+    # Every powered term underflows: each powered result is +0.0.
     "underflow": ([1e-300, 1e-300, 1e-300], [-1e-300, 1e-300, -1e-300]),
     "negative_underflow_only": ([1e-300, 1e-300], [-1e-300, -1e-300]),
+    # Subnormal masses, summed exactly.
+    "subnormal_masses": ([1.0, 1.0, 1.0], [-5e-324, 5e-324, -5e-324]),
     "negative_zeros": ([1.0, 2.0], [-0.0, -0.0]),
-    # Products of both signs overflow, so every mass is inf.
-    "overflow_both_signs": ([1e300, 1e300, 1.0], [1e300, -1e300, 1.0]),
-    "overflow_negative": ([1.0, 1e300], [-2.0, -1e300]),
+    # Masses and powered terms of both signs overflow, so every sum is inf.
+    "overflow_both_signs": ([1e300, 1e300, 1.0, 1.0], [1e308, -1e308, 1e308, -1e308]),
+    "overflow_negative": ([1.0, 1e300, 1.0], [-2.0, -1e308, -1e308]),
     "power_overflows_before_length": ([1e-300, 1.0], [-1e200, -3.0]),
     "empty": ([], []),
 }
@@ -121,11 +130,15 @@ ADVERSARIAL = list(adversarial_cases())
 
 
 def reduce_cases():
-    """(case name, lengths, values, code, p) over the adversarial inputs."""
+    """(case name, values, code, p, lengths) over the adversarial inputs: masses alone
+    for the linear codes, values with and without lengths for the powered ones."""
     for name, lengths, values in ADVERSARIAL:
-        for code in ALL_CODES:
-            for p in (1.0, 2.0, 2.7) if code >= NEG_POW else (1.0,):
-                yield name, lengths, values, code, p
+        for code in LINEAR_CODES:
+            yield name, values, code, 1.0, None
+        for code in POWER_CODES:
+            for p in (1.0, 2.0, 2.7):
+                yield name, values, code, p, lengths
+                yield name, values, code, p, None
 
 
 @pytest.mark.filterwarnings("error")
@@ -133,16 +146,16 @@ class TestAdversarialAccuracy:
     """Magnitudes at IEEE extremes and large sizes, within the bound and without warnings."""
 
     def test_sign_split_within_bound(self):
-        for name, lengths, values in ADVERSARIAL:
-            got = _backend.sign_split_sums(lengths, values)
-            for result, terms in zip(got, reference_split_terms(lengths, values), strict=True):
+        for name, _, masses in ADVERSARIAL:
+            got = _backend.sign_split_sums(masses)
+            for result, terms in zip(got, reference_split_terms(masses), strict=True):
                 assert_sum_within_bound(result, terms), name
 
     def test_transform_reduce_within_bound(self):
-        for name, lengths, values, code, p in reduce_cases():
-            terms, slack = reference_terms(lengths, values, code, p)
-            got = _backend.transform_reduce(lengths, values, code, p)
-            assert_sum_within_bound(got, terms, slack), (name, code, p)
+        for name, values, code, p, lengths in reduce_cases():
+            terms, slack = reference_terms(values, code, p, lengths)
+            got = _backend.transform_reduce(values, code, p, lengths)
+            assert_sum_within_bound(got, terms, slack), (name, code, p, lengths is None)
 
 
 @pytest.mark.filterwarnings("error")
@@ -150,21 +163,22 @@ class TestAdversarialBitwise:
     """The exact parts of the contract on the same adversarial inputs."""
 
     def test_split_equals_linear_reductions(self):
-        for name, lengths, values in ADVERSARIAL:
-            neg, pos, tv = _backend.sign_split_sums(lengths, values)
-            assert same_bits(neg, _backend.transform_reduce(lengths, values, NEG)), name
-            assert same_bits(pos, _backend.transform_reduce(lengths, values, POS)), name
-            assert same_bits(tv, _backend.transform_reduce(lengths, values, ABS)), name
+        for name, _, masses in ADVERSARIAL:
+            neg, pos, tv = _backend.sign_split_sums(masses)
+            assert same_bits(neg, _backend.transform_reduce(masses, NEG)), name
+            assert same_bits(pos, _backend.transform_reduce(masses, POS)), name
+            assert same_bits(tv, _backend.transform_reduce(masses, ABS)), name
+            assert same_bits(tv, neg + pos), name
 
     def test_zero_results_are_positive_zero(self):
         zeros = 0
-        for name, lengths, values, code, p in reduce_cases():
-            got = _backend.transform_reduce(lengths, values, code, p)
+        for name, values, code, p, lengths in reduce_cases():
+            got = _backend.transform_reduce(values, code, p, lengths)
             if got == 0.0:
                 zeros += 1
-                assert same_bits(got, 0.0), (name, code, p)
-        for name, lengths, values in ADVERSARIAL:
-            for got in _backend.sign_split_sums(lengths, values):
+                assert same_bits(got, 0.0), (name, code, p, lengths is None)
+        for name, _, masses in ADVERSARIAL:
+            for got in _backend.sign_split_sums(masses):
                 if got == 0.0:
                     zeros += 1
                     assert same_bits(got, 0.0), name
@@ -172,14 +186,21 @@ class TestAdversarialBitwise:
 
     def test_edge_cases_reach_the_extremes(self):
         # Guards the case list: the extremes above must really be produced by the loop.
-        results = {
-            name: tuple(sum(terms, 0.0) for terms in reference_split_terms(np.array(lengths), np.array(values)))
-            for name, (lengths, values) in EDGE_CASES.items()
-        }
-        assert all(same_bits(r, 0.0) for r in results["underflow"])
-        assert results["overflow_both_signs"] == (math.inf, math.inf, math.inf)
-        lengths, values = map(np.array, EDGE_CASES["power_overflows_before_length"])
-        terms, _ = reference_terms(lengths, values, NEG_POW, 2.0)
+        cases = {name: (np.array(lengths), np.array(values)) for name, (lengths, values) in EDGE_CASES.items()}
+
+        def split(name):
+            return tuple(sum(terms, 0.0) for terms in reference_split_terms(cases[name][1]))
+
+        lengths, values = cases["underflow"]
+        for code in POWER_CODES:
+            for p in (1.0, 2.0):
+                terms, _ = reference_terms(values, code, p, lengths)
+                assert terms and same_bits(sum(terms, 0.0), 0.0)
+        assert split("subnormal_masses") == (1e-323, 5e-324, 1.5e-323)
+        assert split("overflow_both_signs") == (math.inf, math.inf, math.inf)
+        assert split("overflow_negative") == (math.inf, 0.0, math.inf)
+        lengths, values = cases["power_overflows_before_length"]
+        terms, _ = reference_terms(values, NEG_POW, 2.0, lengths)
         assert sum(terms) == math.inf
 
 
@@ -188,33 +209,46 @@ class TestTransformReduceParity:
         rng = np.random.default_rng(8080)
         for trial in range(200):
             lengths, values = random_cells(rng, int(rng.integers(1, 40)))
-            for code in ALL_CODES:
-                for p in POWERS if code >= NEG_POW else (1.0,):
-                    terms, slack = reference_terms(lengths, values, code, p)
-                    got = _backend.transform_reduce(lengths, values, code, p)
-                    assert_sum_within_bound(got, terms, slack), (trial, code, p)
+            for code in LINEAR_CODES:
+                terms, _ = reference_terms(values, code)
+                assert_sum_within_bound(_backend.transform_reduce(values, code), terms), (trial, code)
+            for code in POWER_CODES:
+                for p in POWERS:
+                    for cell_lengths in (lengths, None):
+                        terms, slack = reference_terms(values, code, p, cell_lengths)
+                        got = _backend.transform_reduce(values, code, p, cell_lengths)
+                        assert_sum_within_bound(got, terms, slack), (trial, code, p)
 
     def test_power_one_delegates_to_linear_codes(self):
         rng = np.random.default_rng(12)
-        lengths, values = random_cells(rng, 25)
-        for code in (NEG, POS, ABS):
+        _, values = random_cells(rng, 25)
+        for code in LINEAR_CODES:
             assert same_bits(
-                _backend.transform_reduce(lengths, values, code + NEG_POW, 1.0),
-                _backend.transform_reduce(lengths, values, code),
+                _backend.transform_reduce(values, code + NEG_POW, 1.0),
+                _backend.transform_reduce(values, code),
             )
 
     def test_empty_arrays(self):
         empty = np.empty(0, dtype=np.float64)
-        for code in ALL_CODES:
-            assert same_bits(_backend.transform_reduce(empty, empty, code, 2.0), 0.0)
-        got = _backend.sign_split_sums(empty, empty)
+        for code in LINEAR_CODES:
+            assert same_bits(_backend.transform_reduce(empty, code), 0.0)
+        for code in POWER_CODES:
+            assert same_bits(_backend.transform_reduce(empty, code, 2.0), 0.0)
+            assert same_bits(_backend.transform_reduce(empty, code, 2.0, empty), 0.0)
+        got = _backend.sign_split_sums(empty)
         assert got == (0.0, 0.0, 0.0)
         assert all(same_bits(v, 0.0) for v in got)
 
     def test_unknown_code_rejected(self):
         arr = np.array([1.0])
         with pytest.raises(ValueError):
-            _backend.transform_reduce(arr, arr, 99)
+            _backend.transform_reduce(arr, 99)
+
+    def test_linear_codes_take_no_lengths(self):
+        arr = np.array([1.0])
+        for code in LINEAR_CODES:
+            with pytest.raises(ValueError):
+                _backend.transform_reduce(arr, code, 1.0, arr)
 
     def test_read_only_arrays_are_accepted(self):
         # Library arrays are frozen, so the kernels must take non-writable input.
@@ -222,24 +256,25 @@ class TestTransformReduceParity:
         values = np.array([-1.0, 3.0])
         lengths.flags.writeable = False
         values.flags.writeable = False
-        assert _backend.transform_reduce(lengths, values, ABS) == 7.0
-        assert _backend.transform_reduce(lengths, values, POS_POW, 2.0) == 18.0
-        assert _backend.sign_split_sums(lengths, values) == (1.0, 6.0, 7.0)
+        assert _backend.transform_reduce(values, ABS) == 4.0
+        assert _backend.transform_reduce(values, POS_POW, 2.0, lengths) == 18.0
+        assert _backend.transform_reduce(values, NEG_POW, 2.0, lengths) == 1.0
+        assert _backend.sign_split_sums(values) == (1.0, 3.0, 4.0)
 
 
 class TestSignSplitParity:
     def test_total_mass_matches_abs_reduce(self):
         rng = np.random.default_rng(88)
         for _ in range(100):
-            lengths, values = random_cells(rng, int(rng.integers(1, 40)))
-            neg, pos, tv = _backend.sign_split_sums(lengths, values)
-            assert tv == _backend.transform_reduce(lengths, values, ABS)
-            assert neg == _backend.transform_reduce(lengths, values, NEG)
-            assert pos == _backend.transform_reduce(lengths, values, POS)
+            _, masses = random_cells(rng, int(rng.integers(1, 40)))
+            neg, pos, tv = _backend.sign_split_sums(masses)
+            assert tv == _backend.transform_reduce(masses, ABS)
+            assert neg == _backend.transform_reduce(masses, NEG)
+            assert pos == _backend.transform_reduce(masses, POS)
 
     def test_components_are_consistent(self):
         rng = np.random.default_rng(404)
         for _ in range(100):
-            lengths, values = random_cells(rng, int(rng.integers(1, 40)))
-            neg, pos, tv = _backend.sign_split_sums(lengths, values)
-            assert math.isclose(neg + pos, tv, rel_tol=1e-12, abs_tol=1e-15)
+            _, masses = random_cells(rng, int(rng.integers(1, 40)))
+            neg, pos, tv = _backend.sign_split_sums(masses)
+            assert neg + pos == tv

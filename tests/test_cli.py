@@ -175,12 +175,14 @@ class TestExitContract:
         assert code == 2
         assert "non-finite" in err
 
-    def test_overflowing_powered_index_is_an_input_error(self, run, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    def test_steep_powered_index_is_scaled_not_an_error(self, run, tmp_path):
+        # 10**400 overflows, but loi_p factors the slope out and gives the true value.
         spike = tmp_path / "spike.csv"
         spike.write_text("x,y\n0,0\n1,-10\n2,0\n", encoding="utf-8")
         code, out, err = run(["indices", str(spike), "--p", "400"])
-        assert (code, out) == (2, "")
-        assert err == "error: the powered sum for p=400.0 overflows float64\n"
+        assert (code, err) == (0, "")
+        assert out.endswith("p: 400\nloi_p: 10\n")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_total_variation_is_an_input_error(self, run, tmp_path):

@@ -41,6 +41,15 @@ CASES = {
     "quoted_value": b'x,y\n"1.5",0\n2,1\n',
     "quoted_header": b'"x","y"\n0,0\n1,1\n',
     "quoted_header_spans_lines": b'"x\n,y",z\n0,0\n1,x\n',
+    "quoted_header_crlf_after_blank": b'\r\n"x","y"\r\n0,0\r\n1,1\r\n',
+    "quoted_header_with_comma": b'"x, in m","y"\n0,0\n1,1\n',
+    "quoted_header_escaped_quote": b'"a""b",c\n0,0\n1,1\n',
+    "quoted_header_space_after_quote": b'"x" ,y\n0,0\n1,1\n',
+    "quoted_numeric_header_is_data": b'"1","2"\n0,0\n3,-1\n',
+    "quoted_empty_row_before_header": b'"",""\nx,y\n0,0\n1,1\n',
+    "quoted_header_and_quoted_value": b'"x","y"\n0,0\n"1",1\n',
+    "quote_opens_mid_header": b'x"y,"z\n0,0\n1,1\n',
+    "quote_inside_unquoted_header": b'x"y",z\n0,0\n1,1\n',
     "unclosed_quote_in_header": b'x,"y\n0,0\n1,1\n3,-1\n',
     "underscore_digits": b"x,y\n1_0,0\n2,1\n",
     "non_ascii_digit": "x,y\n\u0661,0\n2,1\n".encode(),
@@ -175,6 +184,22 @@ def test_header_crlf_and_empty_lines_stay_on_the_bulk_path(tmp_path, monkeypatch
     path = tmp_path / "in.csv"
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     expected = _outcome(cli._read_csv, str(path), 2)
+
+    def row_wise_not_expected(path, ncols):
+        raise AssertionError("fell back to the row-wise reader")
+
+    monkeypatch.setattr(cli, "_read_csv", row_wise_not_expected)
+    assert _outcome(cli._read_table, str(path), 2) == expected
+
+
+def test_quoted_spreadsheet_header_stays_on_the_bulk_path(tmp_path, monkeypatch):
+    """A header written with quotes, as spreadsheets do, is read by csv and the body by np.loadtxt."""
+    rng = np.random.default_rng(8)
+    lines = ['"x","y"'] + [f"{float(x)!r},{float(y)!r}" for x, y in zip(rng.permutation(500) * 0.5, rng.normal(size=500))]
+    path = tmp_path / "in.csv"
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    expected = _outcome(cli._read_csv, str(path), 2)
+    assert len(expected[1]) == 500
 
     def row_wise_not_expected(path, ncols):
         raise AssertionError("fell back to the row-wise reader")

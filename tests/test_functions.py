@@ -16,6 +16,8 @@ from monotonia import (
     StandardizedFunction,
     derivative,
     integrate_transform,
+    lod,
+    loi,
     standardize,
     total_variation,
 )
@@ -215,6 +217,28 @@ class TestIntegrateTransform:
                 for length, slope in zip(profile.lengths, profile.slopes):
                     direct += float(length) * tr(float(slope))
                 assert integrate_transform(profile, tr) == direct
+
+    def test_linear_transforms_sum_the_increments(self):
+        # Non-dyadic data: length * slope would round twice, the increment once.
+        rng = np.random.default_rng(5)
+        linear = {
+            DerivativeTransform.neg_part(): (DerivativeTransform.neg_part_power(1.0), loi),
+            DerivativeTransform.pos_part(): (DerivativeTransform.pos_part_power(1.0), lod),
+            DerivativeTransform.abs_value(): (DerivativeTransform.abs_power(1.0), total_variation),
+        }
+        for _ in range(50):
+            n = int(rng.integers(1, 100))
+            f = SampledFunction(np.cumsum(rng.uniform(0.1, 3.0, n + 1)), rng.normal(size=n + 1))
+            profile = derivative(f)
+            assert profile.masses().tolist() == np.diff(f.ys).tolist()
+            for tr, (power_one, index) in linear.items():
+                value = integrate_transform(profile, tr)
+                assert value == integrate_transform(profile, power_one) == index(f)
+
+    def test_profile_built_from_arrays_has_products_as_masses(self):
+        profile = DerivativeProfile(np.array([2.0, 0.5]), np.array([1.5, -3.0]))
+        assert profile.masses().tolist() == [3.0, -1.5]
+        assert integrate_transform(profile, DerivativeTransform.neg_part()) == 1.5
 
     def test_inexact_power_is_within_the_summation_bound(self):
         # x**1.5 of a dyadic slope is not a dyadic number, so the sum is no longer exact.

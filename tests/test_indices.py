@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monotonia import (
+    DerivativeTransform,
+    GridDensityMeasure,
     InvalidInputError,
     InvalidParameterError,
     SampledFunction,
     UndefinedIndexError,
+    derivative,
+    integrate_transform,
     loi,
     loi_norm,
     loi_p,
@@ -18,9 +22,13 @@ from monotonia import (
     lod_norm,
     lom,
     lom_norm,
+    lon,
+    lop,
+    los,
     normalized_indices,
     report,
     total_variation,
+    _backend,
 )
 
 from helpers import (
@@ -43,6 +51,21 @@ def scaled(f: SampledFunction, beta: float) -> SampledFunction:
 TENT = SampledFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
 LINE = SampledFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 CONST = SampledFunction(np.array([0.0, 1.0]), np.array([2.0, 2.0]))
+
+
+BLOCK = _backend.BLOCK
+LINEAR = (DerivativeTransform.neg_part(), DerivativeTransform.pos_part(), DerivativeTransform.abs_value())
+
+
+def random_walk(rng: np.random.Generator, n: int) -> SampledFunction:
+    """A function on non-dyadic data: uniform cell widths and normal increments."""
+    xs = rng.uniform(-5.0, 5.0) + np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 3.0, n))))
+    return SampledFunction(xs, np.cumsum(rng.normal(0.0, 1.0, n + 1)))
+
+
+def bits(*values: float) -> list[str]:
+    """Exact representations, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
 
 
 class TestRawIndices:
@@ -279,3 +302,108 @@ class TestOverflowingTotalVariation:
         with pytest.raises(InvalidInputError) as excinfo:
             index(self.PEAKS)
         assert str(excinfo.value) == f"{what} overflows float64"
+
+
+@pytest.mark.filterwarnings("error")
+class TestIncrements:
+    """The linear indices sum the parts of the increments Δy, each term rounded once."""
+
+    def test_report_and_single_indices_agree_bit_for_bit(self):
+        rng = np.random.default_rng(707)
+        for _ in range(200):
+            f = random_walk(rng, int(rng.integers(1, 300)))
+            rep = report(f, p=1.0)
+            assert bits(rep.loi, rep.lod, rep.tv, rep.lom) == bits(loi(f), lod(f), total_variation(f), lom(f))
+            assert bits(rep.loi_norm, rep.lod_norm, rep.lom_norm) == bits(*normalized_indices(f))
+            assert bits(rep.loi_p, loi_p(f, 1.0)) == bits(loi(f), loi(f))
+            assert rep.loi + rep.lod == rep.tv
+
+    def test_identities_hold_across_block_boundaries(self):
+        # The indices reduce the increments block by block; the kernels, given
+        # all of them at once, reduce the same blocks and must give the same bits.
+        rng = np.random.default_rng(909)
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+            f = random_walk(rng, n)
+            profile = derivative(f)
+            rep = report(f, p=2.5)
+            singles = (loi(f), lod(f), total_variation(f), lom(f))
+            assert bits(rep.loi, rep.lod, rep.tv, rep.lom) == bits(*singles)
+            assert bits(*(integrate_transform(profile, tr) for tr in LINEAR)) == bits(*singles[:3])
+            nu = GridDensityMeasure.from_derivative_profile(profile)
+            assert bits(lop(nu), lon(nu), los(nu), nu.total_variation()) == bits(*singles[:2], singles[3], singles[2])
+            powered = integrate_transform(profile, DerivativeTransform.neg_part_power(2.5)) ** (1.0 / 2.5)
+            assert bits(rep.loi_p, loi_p(f, 2.5)) == bits(powered, powered)
+
+    def test_subnormal_cell_width_leaves_the_linear_indices_exact(self):
+        # The rise over cell 0 is 1 although its difference quotient overflows.
+        f = SampledFunction([0.0, 5e-324, 1.0], [0.0, 1.0, 0.0])
+        assert (loi(f), lod(f), total_variation(f)) == (1.0, 1.0, 2.0)
+        with pytest.raises(InvalidInputError) as excinfo:
+            loi_p(f, 2.0)
+        assert str(excinfo.value) == "the difference quotient of cell 0 on [0.0, 5e-324] overflows float64"
+        # The same fall: loi_p's own cells overflow.
+        g = SampledFunction([0.0, 5e-324, 1.0], [1.0, 0.0, 0.0])
+        assert (loi(g), lod(g), total_variation(g)) == (1.0, 0.0, 1.0)
+        with pytest.raises(InvalidInputError) as excinfo:
+            loi_p(g, 2.0)
+        assert str(excinfo.value) == "the difference quotient of cell 0 on [0.0, 5e-324] overflows float64"
+
+    def test_loi_is_within_the_summation_bound_of_fsum(self):
+        rng = np.random.default_rng(99)
+        for n in (1, 7, 1000, 3 * BLOCK + 5):
+            f = random_walk(rng, n)
+            increments = np.diff(f.ys).tolist()
+            exact = math.fsum(-d for d in increments if d < 0.0)
+            bound = (n + 1) * 2.0**-53 * math.fsum(map(abs, increments))
+            assert abs(loi(f) - exact) <= bound, n
+
+
+@pytest.mark.filterwarnings("error")
+class TestLpFromFallingCells:
+    def test_same_bits_as_the_derivative_profile(self):
+        rng = np.random.default_rng(808)
+        for _ in range(100):
+            f = random_walk(rng, int(rng.integers(1, 300)))
+            for p in (1.5, 2.0, 3.0, 7.25):
+                total = integrate_transform(derivative(f), DerivativeTransform.neg_part_power(p))
+                assert bits(loi_p(f, p)) == bits(total ** (1.0 / p))
+
+    def test_overflowing_powers_are_scaled(self):
+        assert loi_p(SampledFunction([0.0, 1.0, 2.0], [0.0, -10.0, 0.0]), 400.0) == 10.0
+        # Slopes -10, -20 and -5 on unit cells: the steepest one dominates.
+        f = SampledFunction([0.0, 1.0, 2.0, 3.0], [0.0, -10.0, -30.0, -35.0])
+        assert_close(loi_p(f, 400.0), 20.0 * (1.0 + 0.5**400) ** (1.0 / 400.0))
+        assert loi_p(SampledFunction([0.0, 1.0, 2.0], [0.0, -1e308, 0.0]), 2.0) == 1e308
+
+    def test_underflowing_powers_are_scaled(self):
+        # The square 1e-400 underflows; the index 1e-200 does not.
+        assert loi_p(SampledFunction([0.0, 1.0, 2.0], [0.0, -1e-200, 0.0]), 2.0) == 1e-200
+        assert loi_p(SampledFunction([0.0, 1.0, 2.0], [0.0, -1e-200, 0.0]), 400.0) == 1e-200
+        # (1e-50)**7 underflows before its width 1e300 multiplies it into the dominant 1e-50;
+        # the sum without it, 1e-280, is normal but far below (span + n)·2**-1022.
+        f = SampledFunction([0.0, 1.0, 1e300 + 1.0], [0.0, -1e-40, -1e-40 - 1e250])
+        assert_close(loi_p(f, 7.0), 10.0 ** (-50.0 / 7.0))
+
+    def test_lengths_summing_beyond_float64_are_scaled(self):
+        f = SampledFunction([-1.5e308, 0.0, 1.5e308], [0.0, -1.0, -2.0])
+        assert_close(loi_p(f, 2.0), math.sqrt(2.0) / math.sqrt(1.5e308))
+
+    def test_an_index_beyond_float64_names_loi_p(self):
+        # Four cells of slope -1e308 and width 0.5: loi_p = 2**(1/p) * 1e308.
+        f = SampledFunction([0.0, 0.5, 1.0, 1.5, 2.0], [1e308, 5e307, 0.0, -5e307, -1e308])
+        assert_close(loi_p(f, 2.0), math.sqrt(2.0) * 1e308)
+        with pytest.raises(InvalidInputError) as excinfo:
+            loi_p(f, 1.1)
+        assert str(excinfo.value) == "loi_p for p=1.1 overflows float64"
+
+    def test_wide_shallow_cell_outweighs_the_steepest(self):
+        # Cell 0: width 1e-300, slope -100; cell 1: width ~1e300, slope -10.  At p = 400
+        # the terms are 1e500 and 1e700, so loi_p = 10**(700/400), set by the shallow cell.
+        f = SampledFunction([0.0, 1e-300, 1e300], [0.0, -1e-298, -1e-298 - 1e301])
+        assert_close(loi_p(f, 400.0), 10.0**1.75)
+
+    def test_underflowing_quotient_names_the_cell(self):
+        f = SampledFunction([0.0, 1e300, 2e300], [0.0, -1e-300, 0.0])
+        with pytest.raises(InvalidInputError) as excinfo:
+            loi_p(f, 2.0)
+        assert str(excinfo.value) == "the difference quotient of cell 0 on [0.0, 1e+300] underflows float64"

@@ -13,6 +13,7 @@ from monotonia import (
     GridDensityMeasure,
     InvalidInputError,
     MixedSignedMeasure,
+    SampledFunction,
     UndefinedIndexError,
     derivative,
     jordan,
@@ -80,6 +81,11 @@ class TestGridConstruction:
     def test_zero_densities_are_kept(self):
         assert GRID.densities.tolist() == [3.0, -2.0, 0.0]
         assert GRID.lengths.tolist() == [1.0, 2.0, 0.5]
+
+    def test_cell_masses_are_lengths_times_densities(self):
+        assert GRID.masses.tolist() == [3.0, -4.0, 0.0]
+        assert not GRID.masses.flags.writeable
+        assert (lop(GRID), lon(GRID), GRID.total_variation()) == (4.0, 3.0, 7.0)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -265,6 +271,25 @@ class TestFunctionBridge:
             nu = GridDensityMeasure.from_derivative_profile(derivative(f))
             assert lop(nu) == loi(f)
             assert lon(nu) == lod(f)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bridge_is_exact_on_non_dyadic_random_walks(self):
+        # The derivative measure carries the increments as masses, so no
+        # length * slope product stands between it and the function.
+        rng = np.random.default_rng(4242)
+        for _ in range(100):
+            n = int(rng.integers(1, 200))
+            xs = np.cumsum(rng.uniform(0.1, 3.0, n + 1))
+            f = SampledFunction(xs, np.cumsum(rng.normal(0.0, 1.0, n + 1)))
+            nu = GridDensityMeasure.from_derivative_profile(derivative(f))
+            assert nu.masses.tolist() == np.diff(f.ys).tolist()
+            assert not nu.masses.flags.writeable
+            assert (lop(nu), lon(nu), los(nu)) == (loi(f), lod(f), lom(f))
+            assert nu.total_variation() == total_variation(f)
+            # The Jordan parts keep the parts of the increments as their masses.
+            pair = jordan(nu)
+            assert (lon(pair.positive_part), lon(pair.negative_part)) == (lod(f), loi(f))
+            assert lop(pair.positive_part) == lop(pair.negative_part) == 0.0
 
     def test_bridge_on_dyadic_function_instance(self):
         rng = np.random.default_rng(123)

@@ -162,6 +162,25 @@ class TestCumulativeWeight:
         assert TRIANGLE_WEIGHT.total_weight() == 0.5
         assert float(TRIANGLE_WEIGHT.cumulative(0.25)) == 0.0625
 
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_weight_with_large_ordinates(self):
+        # The sum of two neighbouring ordinates overflows; their mean does not.
+        flat = WeightSpec.sampled(SampledFunction([0.0, 0.5, 1.0], [1.7e308] * 3))
+        assert flat.total_weight() == 1.7e308
+        assert float(flat.cumulative(0.5)) == 8.5e307
+        rising = WeightSpec.sampled(SampledFunction([0.0, 1.0], [1e308, 1.7e308]))
+        assert rising.total_weight() == 1.35e308
+        # W(t) = 1e308 t + 0.35e308 t**2, so the blocks weigh 0.5875 and 0.7625 of 1.35.
+        assert_close(premium(EmpiricalDistribution([1.0, 2.0]), rising), (0.5875 + 2.0 * 0.7625) / 1.35)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sampled_weight_names_the_samples(self):
+        # Within the domain tolerance the samples reach past [0, 1], and W(1) past float64.
+        top = float(np.finfo(np.float64).max)
+        with pytest.raises(InvalidInputError) as excinfo:
+            WeightSpec.sampled(SampledFunction([-1e-9, 1.0 + 5e-10], [top, top]))
+        assert str(excinfo.value) == "the total weight of the weight samples overflows float64"
+
     def test_cumulative_is_monotone(self):
         rng = np.random.default_rng(2718)
         t = np.linspace(0.0, 1.0, 257)
