@@ -48,6 +48,7 @@ from .measures import (
     GridDensityMeasure,
     JordanPair,
     MixedSignedMeasure,
+    PositivityReport,
     jordan,
     lon,
     lon_norm,
@@ -55,6 +56,7 @@ from .measures import (
     lop_norm,
     los,
     los_norm,
+    positivity_report,
 )
 from .orderings import (
     OrderingVerdict,
@@ -67,9 +69,11 @@ from .orderings import (
 from .risk import (
     WEIGHT_CATALOG,
     EmpiricalDistribution,
+    GainLossReport,
     LoadingReport,
     WeightSpec,
     gain_loss,
+    gain_loss_report,
     loading_covariance,
     loading_report,
     premium,
@@ -117,6 +121,7 @@ __all__ = [
     "GridDensityMeasure",
     "MixedSignedMeasure",
     "JordanPair",
+    "PositivityReport",
     "jordan",
     "lop",
     "lon",
@@ -124,6 +129,7 @@ __all__ = [
     "lop_norm",
     "lon_norm",
     "los_norm",
+    "positivity_report",
     "EmpiricalDistribution",
     "WeightSpec",
     "LoadingReport",
@@ -132,6 +138,8 @@ __all__ = [
     "premium",
     "loading_covariance",
     "v_theta",
+    "GainLossReport",
     "gain_loss",
+    "gain_loss_report",
     "loading_report",
 ]

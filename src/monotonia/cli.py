@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -29,16 +30,10 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, MonotoniaError
 from .functions import SampledFunction
-from .indices import _normalize, report
-from .measures import DiscreteSignedMeasure, _split_measure, jordan
+from .indices import report
+from .measures import DiscreteSignedMeasure, jordan, positivity_report
 from .orderings import INDEX_RELATIONS, STRICT_RELATIONS, compare, compare_strict
-from .risk import (
-    WEIGHT_CATALOG,
-    EmpiricalDistribution,
-    WeightSpec,
-    loading_report,
-)
-from .risk import _ratios, _value_split
+from .risk import WEIGHT_CATALOG, EmpiricalDistribution, WeightSpec, gain_loss_report, loading_report
 
 __all__ = ["main", "build_parser"]
 
@@ -204,7 +199,7 @@ def _fmt_value(v) -> str:
     if isinstance(v, float):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
-        return f"{_round12(v):.12g}"
+        return "0" if v == 0.0 else f"{v:.12g}"
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_fmt_value(e) for e in v) + "]"
     return str(v)
@@ -233,71 +228,36 @@ def _resolve_format(flag_value: str | None) -> str:
     return fmt
 
 
-def _cmd_indices(args) -> tuple[dict, int]:
+def _cmd_indices(args) -> tuple[dict, dict, list[str], int]:
     fn = _load_function(args.file)
     input_info = {"file": args.file}
     if args.interval is not None:
         a, b = args.interval
         fn = fn.restrict(a, b)
         input_info["interval"] = [a, b]
-    rep = report(fn, p=args.p)
-    results = {
-        "loi": rep.loi,
-        "lod": rep.lod,
-        "lom": rep.lom,
-        "tv": rep.tv,
-        "loi_norm": rep.loi_norm,
-        "lod_norm": rep.lod_norm,
-        "lom_norm": rep.lom_norm,
-        "interval": list(rep.interval),
-    }
-    if rep.p is not None:
-        results["p"] = rep.p
-        results["loi_p"] = rep.loi_p
-    payload = {"command": "indices", "input": input_info, "results": results, "warnings": []}
-    return payload, 0
+    results = dataclasses.asdict(report(fn, p=args.p))
+    if args.p is None:
+        del results["p"], results["loi_p"]
+    return input_info, results, [], 0
 
 
-def _cmd_compare(args) -> tuple[dict, int]:
+def _cmd_compare(args) -> tuple[dict, dict, list[str], int]:
     g = _load_function(args.file_a)
     h = _load_function(args.file_b)
-    if args.relation in STRICT_RELATIONS:
-        verdict = compare_strict(g, h, args.relation)
-    else:
-        verdict = compare(g, h, args.relation)
-    warnings = [verdict.note] if verdict.note else []
-    payload = {
-        "command": "compare",
-        "input": {"file_a": args.file_a, "file_b": args.file_b, "relation": args.relation},
-        "results": {
-            "relation": verdict.relation,
-            "holds": verdict.holds,
-            "witness": verdict.witness,
-        },
-        "warnings": warnings,
-    }
-    return payload, 0 if verdict.holds == "yes" else 1
+    order = compare_strict if args.relation in STRICT_RELATIONS else compare
+    results = dataclasses.asdict(order(g, h, args.relation))
+    note = results.pop("note")
+    input_info = {"file_a": args.file_a, "file_b": args.file_b, "relation": args.relation}
+    return input_info, results, [note] if note else [], 0 if results["holds"] == "yes" else 1
 
 
-def _cmd_measure(args) -> tuple[dict, int]:
+def _cmd_measure(args) -> tuple[dict, dict, list[str], int]:
     measure, warnings = _load_atoms(args.file)
+    results = dataclasses.asdict(positivity_report(measure))
     parts = jordan(measure)
-    neg_mass, pos_mass, _ = _split_measure(measure)
-    tv = neg_mass + pos_mass
-    normalized = _normalize(neg_mass, pos_mass, tv) or (None, None, None)
-    results = {
-        "lop": neg_mass,
-        "lon": pos_mass,
-        "los": 2.0 * min(neg_mass, pos_mass),
-        "tv": tv,
-        "lop_norm": normalized[0],
-        "lon_norm": normalized[1],
-        "los_norm": normalized[2],
-        "positive_part": [list(a) for a in parts.positive_part.atoms],
-        "negative_part": [list(a) for a in parts.negative_part.atoms],
-    }
-    payload = {"command": "measure", "input": {"file": args.file}, "results": results, "warnings": warnings}
-    return payload, 0
+    results["positive_part"] = [list(a) for a in parts.positive_part.atoms]
+    results["negative_part"] = [list(a) for a in parts.negative_part.atoms]
+    return {"file": args.file}, results, warnings, 0
 
 
 def _make_weight(name: str, param: float | None) -> tuple[WeightSpec, list[str]]:
@@ -313,44 +273,20 @@ def _make_weight(name: str, param: float | None) -> tuple[WeightSpec, list[str]]
     return WeightSpec(name, param), []
 
 
-def _cmd_premium(args) -> tuple[dict, int]:
+def _cmd_premium(args) -> tuple[dict, dict, list[str], int]:
     sample = _load_sample(args.file)
     weight, warnings = _make_weight(args.weight, args.param)
-    rep = loading_report(sample, weight)
-    results = {
-        "premium": rep.premium,
-        "net_premium": rep.net_premium,
-        "covariance": rep.covariance,
-        "loading_nonneg": rep.loading_nonneg,
-        "gain_loss_ratio": rep.gain_loss_ratio,
-        "omega_style_ratio": rep.omega_style_ratio,
-    }
-    payload = {
-        "command": "premium",
-        "input": {"file": args.file, "weight": args.weight, "param": args.param},
-        "results": results,
-        "warnings": warnings,
-    }
-    return payload, 0
+    results = dataclasses.asdict(loading_report(sample, weight))
+    return {"file": args.file, "weight": args.weight, "param": args.param}, results, warnings, 0
 
 
-def _cmd_glr(args) -> tuple[dict, int]:
+def _cmd_glr(args) -> tuple[dict, dict, list[str], int]:
     fn = _load_function(args.file)
     if fn.lower < -1e-9 or fn.upper > 1.0 + 1e-9:
         raise InvalidInputError(
             f"{args.file}: domain [{fn.lower}, {fn.upper}] must lie within [0, 1]"
         )
-    pos, neg = _value_split(fn)
-    glr, omega = _ratios(pos, neg)
-    integral = pos - neg
-    results = {
-        "glr": glr,
-        "omega_style": omega,
-        "integral": integral,
-        "integral_nonneg": integral >= 0.0,
-    }
-    payload = {"command": "glr", "input": {"file": args.file}, "results": results, "warnings": []}
-    return payload, 0
+    return {"file": args.file}, dataclasses.asdict(gain_loss_report(fn)), [], 0
 
 
 _DISPATCH = {
@@ -426,11 +362,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         fmt = _resolve_format(args.format)
-        payload, code = _DISPATCH[args.command](args)
+        input_info, results, warnings, code = _DISPATCH[args.command](args)
     except (MonotoniaError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, fmt)
+    _emit({"command": args.command, "input": input_info, "results": results, "warnings": warnings}, fmt)
     return code
 
 

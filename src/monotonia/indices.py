@@ -24,7 +24,6 @@ from .functions import (
     _increment_blocks,
     _increment_split,
     _increment_sum,
-    derivative,
 )
 
 __all__ = [
@@ -74,37 +73,31 @@ def lod(g: StandardizedFunction | SampledFunction) -> float:
 
 def lom(g: StandardizedFunction | SampledFunction) -> float:
     """Twice the smaller of loi and lod; 0 exactly when the function is monotone."""
-    neg, pos, _ = _split(g)
-    return 2.0 * min(neg, pos)
+    return _indices(_increment_split(g))[2]
 
 
-def _split(g: StandardizedFunction | SampledFunction) -> tuple[float, float, float]:
-    """(loi, lod, total variation) of ``g``, from its increments."""
-    return _finite_split(_increment_split(g))
+def _indices(split: tuple[float, float, float]) -> tuple:
+    """The raw and normalized indices of a sign split (neg, pos, tv), in report order.
 
-
-def _finite_split(split: tuple[float, float, float]) -> tuple[float, float, float]:
-    """A sign split whose total variation is finite, so neither part nor any ratio of them is inf or NaN."""
-    if math.isinf(split[2]):
+    They are (neg, pos, twice their minimum, tv) and the first three over tv,
+    which are None where tv is zero.  A total variation that overflows raises,
+    so that no index nor ratio of them is inf or NaN.
+    """
+    neg, pos, tv = split
+    if math.isinf(tv):
         raise InvalidInputError("the total variation overflows float64")
-    return split
-
-
-def _normalize(neg: float, pos: float, tv: float) -> tuple[float, float, float] | None:
-    """(neg/tv, pos/tv, twice their minimum), or None when ``tv`` is zero."""
     if tv == 0.0:
-        return None
-    up = neg / tv
-    down = pos / tv
-    return up, down, 2.0 * min(up, down)
+        return neg, pos, 2.0 * min(neg, pos), tv, None, None, None
+    up, down = neg / tv, pos / tv
+    return neg, pos, 2.0 * min(neg, pos), tv, up, down, 2.0 * min(up, down)
 
 
 def normalized_indices(g: StandardizedFunction | SampledFunction) -> tuple[float, float, float]:
     """(loi_norm, lod_norm, lom_norm); raises UndefinedIndexError for constant functions."""
-    norm = _normalize(*_split(g))
-    if norm is None:
+    indices = _indices(_increment_split(g))
+    if indices[3] == 0.0:
         raise UndefinedIndexError("normalized indices are undefined for constant functions (zero total variation)")
-    return norm
+    return indices[4:]
 
 
 def loi_norm(g: StandardizedFunction | SampledFunction) -> float:
@@ -129,37 +122,19 @@ def loi_p(g: StandardizedFunction | SampledFunction, p: float) -> float:
 
 
 def _falling_cells(f: SampledFunction):
-    """(first cell, falling cells, their lengths, their slopes) of ``f``, block by block.
-
-    Only the falling cells are divided.  Run to its end, it also checks that
-    no difference quotient of ``f`` overflows: no cell is wider than the
-    span, and none rises more steeply than the largest rise over the shortest
-    cell.  Where either bound is not finite, ``derivative`` names the first
-    cell whose quotient overflows.
-    """
+    """(first cell, falling cells, their widths, their increments) of ``f``, block by block."""
     xs = f.xs
     buf = np.empty(min(_backend.BLOCK, xs.shape[0] - 1))
-    rise, shortest = 0.0, math.inf
     for start, increments in _increment_blocks(f):
         widths = buf[: increments.shape[0]]
         with np.errstate(over="ignore"):
             np.subtract(xs[start + 1 : start + 1 + widths.shape[0]], xs[start : start + widths.shape[0]], out=widths)
-        rise = max(rise, float(increments.max()))
-        shortest = min(shortest, float(widths.min()))
         falling = np.flatnonzero(increments < 0.0)
-        lengths = widths[falling]
-        slopes = increments[falling]
-        with np.errstate(over="ignore", under="ignore"):
-            np.divide(slopes, lengths, out=slopes)
-        yield start, falling, lengths, slopes
-    with np.errstate(over="ignore"):
-        span = xs[-1] - xs[0]
-    if not (math.isfinite(span) and math.isfinite(rise / shortest)):
-        derivative(f)
+        yield start, falling, widths[falling], increments[falling]
 
 
 def _loi_p(f: SampledFunction, p: float) -> float:
-    """``loi_p`` of ``f``, from the lengths and slopes of its falling cells."""
+    """``loi_p`` of ``f``, from the widths and increments of its falling cells."""
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise InvalidParameterError(f"p must be a finite real >= 1, got {p}")
@@ -167,8 +142,12 @@ def _loi_p(f: SampledFunction, p: float) -> float:
         return _increment_sum(f, _backend.NEG)
     total = 0.0
     falls = False
-    for _, falling, lengths, slopes in _falling_cells(f):
-        total += _backend.transform_reduce(slopes, _backend.NEG_POW, p, lengths)
+    for _, falling, widths, slopes in _falling_cells(f):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            np.divide(slopes, widths, out=slopes)
+        # A quotient or width that overflows makes this sum inf or the floor below
+        # inf, and so takes the scaled path, which forms no quotient.
+        total += _backend.transform_reduce(slopes, _backend.NEG_POW, p, widths)
         falls = falls or falling.shape[0] > 0
     # A term whose power or product underflows loses at most (length + 1)·2**-1075,
     # so a sum of at least (span + n)·2**-1022 is within u of one that lost nothing.
@@ -181,29 +160,34 @@ def _loi_p(f: SampledFunction, p: float) -> float:
 def _scaled_loi_p(f: SampledFunction, p: float) -> float:
     """``loi_p`` where its powered terms overflow or underflow.
 
-    ``loi_p`` is the p-norm of the falling cells' ``length**(1/p) * slope``,
+    ``loi_p`` is the p-norm of the falling cells' ``Δy / width**(1 − 1/p)``,
     so the largest of these is factored out (the scaled norm of hypot and
-    dnrm2): the powered sum of the rest lies in [1, n].  Length and slope are
-    joined before the power, so a wide cell's term cannot underflow away.
+    dnrm2): the powered sum of the rest lies in [1, n].  No difference
+    quotient is formed, so a sub-normal width cannot overflow a term of a
+    finite index.
     """
+    xs = f.xs
+
+    def cell(i: int) -> str:
+        return f"cell {i} on [{float(xs[i])!r}, {float(xs[i + 1])!r}]"
 
     def terms():
-        for _, _, lengths, slopes in _falling_cells(f):
+        for start, falling, widths, increments in _falling_cells(f):
+            for what, values in (("width", widths), ("increment", increments)):
+                if np.isinf(values).any():
+                    i = start + int(falling[np.argmax(np.isinf(values))])
+                    raise InvalidInputError(f"the {what} of {cell(i)} overflows float64")
             with np.errstate(over="ignore", under="ignore"):
-                yield np.power(lengths, 1.0 / p) * slopes
+                yield start, falling, increments / np.power(widths, 1.0 - 1.0 / p)
 
-    scale = max(-float(t.min()) for t in terms() if t.shape[0])
+    scale = max(-float(t.min()) for _, _, t in terms() if t.shape[0])
     if math.isinf(scale):
-        derivative(f)  # raises where a quotient overflows, naming the first such cell
         raise InvalidInputError(f"loi_p for p={p!r} overflows float64")
     if scale == 0.0:
-        i = next(start + int(falling[0]) for start, falling, _, _ in _falling_cells(f) if falling.shape[0])
-        raise InvalidInputError(
-            f"the difference quotient of cell {i} on [{float(f.xs[i])!r}, {float(f.xs[i + 1])!r}] "
-            "underflows float64"
-        )
+        i = next(start + int(falling[0]) for start, falling, _ in terms() if falling.shape[0])
+        raise InvalidInputError(f"the difference quotient of {cell(i)} underflows float64")
     total = 0.0
-    for t in terms():
+    for _, _, t in terms():
         total += _backend.transform_reduce(t / scale, _backend.NEG_POW, p)
     index = scale * total ** (1.0 / p)
     if math.isinf(index):
@@ -219,16 +203,8 @@ def report(f0: StandardizedFunction | SampledFunction, p: float | None = None) -
     attached as well.
     """
     f = _as_sampled(f0)
-    neg, pos, tv = _split(f)
-    norm = _normalize(neg, pos, tv) or (None, None, None)
     return MonotonicityReport(
-        loi=neg,
-        lod=pos,
-        lom=2.0 * min(neg, pos),
-        tv=tv,
-        loi_norm=norm[0],
-        lod_norm=norm[1],
-        lom_norm=norm[2],
+        *_indices(_increment_split(f)),
         interval=(float(f.xs[0]), float(f.xs[-1])),
         p=None if p is None else float(p),
         loi_p=None if p is None else _loi_p(f, p),

@@ -19,14 +19,16 @@ import numpy as np
 from . import _backend
 from .errors import InvalidInputError, UndefinedIndexError
 from .functions import DerivativeProfile, _as_float_array, _freeze
-from .indices import _finite_split, _normalize
+from .indices import _indices
 
 __all__ = [
     "DiscreteSignedMeasure",
     "GridDensityMeasure",
     "MixedSignedMeasure",
     "JordanPair",
+    "PositivityReport",
     "jordan",
+    "positivity_report",
     "lop",
     "lon",
     "los",
@@ -86,7 +88,7 @@ class DiscreteSignedMeasure:
         return [(float(x), float(w)) for x, w in zip(self.locations, self.weights)]
 
     def total_variation(self) -> float:
-        return _split_measure(self)[2]
+        return positivity_report(self).tv
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +136,7 @@ class GridDensityMeasure:
         return nu
 
     def total_variation(self) -> float:
-        return _split_measure(self)[2]
+        return positivity_report(self).tv
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +158,7 @@ class MixedSignedMeasure:
             raise InvalidInputError("grid component must be a GridDensityMeasure")
 
     def total_variation(self) -> float:
-        return _split_measure(self)[2]
+        return positivity_report(self).tv
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +184,22 @@ def _freeze_index(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class PositivityReport:
+    """All raw and normalized positivity indices of one signed measure.
+
+    Normalized fields are ``None`` for the zero measure (zero total variation).
+    """
+
+    lop: float
+    lon: float
+    los: float
+    tv: float
+    lop_norm: float | None
+    lon_norm: float | None
+    los_norm: float | None
+
+
 def _split_measure(nu) -> tuple[float, float, float]:
     """Return (mass below zero, mass above zero, total variation)."""
     if isinstance(nu, DiscreteSignedMeasure):
@@ -193,7 +211,15 @@ def _split_measure(nu) -> tuple[float, float, float]:
         split = tuple(a + b for a, b in zip(*parts))
     else:
         raise InvalidInputError(f"not a signed measure representation: {type(nu).__name__}")
-    return _finite_split(split)
+    return split
+
+
+def positivity_report(nu) -> PositivityReport:
+    """Every positivity index of a discrete, grid or mixed measure in one report.
+
+    Raises where the total variation overflows float64.
+    """
+    return PositivityReport(*_indices(_split_measure(nu)))
 
 
 def jordan(nu: DiscreteSignedMeasure | GridDensityMeasure) -> JordanPair:
@@ -225,39 +251,38 @@ def jordan(nu: DiscreteSignedMeasure | GridDensityMeasure) -> JordanPair:
 
 def lop(nu) -> float:
     """Lack of positivity: total mass of the negative part, the distance to the positive cone."""
-    return _split_measure(nu)[0]
+    return positivity_report(nu).lop
 
 
 def lon(nu) -> float:
     """Lack of negativity: total mass of the positive part."""
-    return _split_measure(nu)[1]
+    return positivity_report(nu).lon
 
 
 def los(nu) -> float:
     """Lack of sign-definiteness: twice the smaller of lop and lon."""
-    neg, pos, _ = _split_measure(nu)
-    return 2.0 * min(neg, pos)
+    return positivity_report(nu).los
 
 
-def _normalized_split(nu) -> tuple[float, float, float]:
-    norm = _normalize(*_split_measure(nu))
-    if norm is None:
+def _normalized(nu) -> PositivityReport:
+    rep = positivity_report(nu)
+    if rep.tv == 0.0:
         raise UndefinedIndexError(
             "normalized positivity indices are undefined for the zero measure"
         )
-    return norm
+    return rep
 
 
 def lop_norm(nu) -> float:
     """lop divided by the total variation; in [0, 1]."""
-    return _normalized_split(nu)[0]
+    return _normalized(nu).lop_norm
 
 
 def lon_norm(nu) -> float:
     """lon divided by the total variation; in [0, 1]."""
-    return _normalized_split(nu)[1]
+    return _normalized(nu).lon_norm
 
 
 def los_norm(nu) -> float:
     """Twice the smaller normalized index; 1 for perfectly balanced measures."""
-    return _normalized_split(nu)[2]
+    return _normalized(nu).los_norm

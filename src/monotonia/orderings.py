@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, UndefinedComparisonError
-from .functions import SampledFunction, StandardizedFunction, derivative
-from .indices import _normalize, _split
+from .functions import SampledFunction, StandardizedFunction, derivative, total_variation
+from .indices import MonotonicityReport, report
 
 __all__ = [
     "SurvivalCurve",
@@ -94,7 +94,7 @@ def _curve(g: StandardizedFunction | SampledFunction, sign: str) -> SurvivalCurv
         parts = np.where(profile.slopes < 0.0, -profile.slopes, 0.0)
     else:
         parts = np.where(profile.slopes > 0.0, profile.slopes, 0.0)
-    _, _, tv = _split(g)
+    tv = total_variation(g)
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
     suffix = np.cumsum(profile.lengths[order][::-1])[::-1]
@@ -114,12 +114,11 @@ def survival_plus(g: StandardizedFunction | SampledFunction) -> SurvivalCurve:
     return _curve(g, "pos")
 
 
-def _normalized(g) -> tuple[float, float, float, float]:
-    neg, pos, tv = _split(g)
-    norm = _normalize(neg, pos, tv)
-    if norm is None:
+def _normalized(g) -> MonotonicityReport:
+    rep = report(g)
+    if rep.tv == 0.0:
         raise UndefinedComparisonError("cannot compare constant functions (zero total variation)")
-    return (*norm, tv)
+    return rep
 
 
 def _tv_note(tv_g: float, tv_h: float) -> str | None:
@@ -140,17 +139,12 @@ def compare(g, h, relation: str) -> OrderingVerdict:
     """
     if relation not in INDEX_RELATIONS:
         raise InvalidParameterError(f"relation must be one of {INDEX_RELATIONS}, got {relation!r}")
-    lack_inc_g, lack_dec_g, lack_mono_g, tv_g = _normalized(g)
-    lack_inc_h, lack_dec_h, lack_mono_h, tv_h = _normalized(h)
-    left, right = {
-        "I": (lack_inc_g, lack_inc_h),
-        "D": (lack_dec_g, lack_dec_h),
-        "M": (lack_mono_g, lack_mono_h),
-    }[relation]
+    rep_g, rep_h = _normalized(g), _normalized(h)
+    field = {"I": "loi_norm", "D": "lod_norm", "M": "lom_norm"}[relation]
     return OrderingVerdict(
         relation=relation,
-        holds="yes" if left <= right else "no",
-        note=_tv_note(tv_g, tv_h),
+        holds="yes" if getattr(rep_g, field) <= getattr(rep_h, field) else "no",
+        note=_tv_note(rep_g.tv, rep_h.tv),
     )
 
 

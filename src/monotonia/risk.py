@@ -38,7 +38,9 @@ __all__ = [
     "premium",
     "loading_covariance",
     "v_theta",
+    "GainLossReport",
     "gain_loss",
+    "gain_loss_report",
     "loading_report",
 ]
 
@@ -327,8 +329,22 @@ def _ratios(pos: float, neg: float) -> tuple[float, float]:
     return glr, pos / (pos + neg)
 
 
-def gain_loss(g: SampledFunction) -> tuple[float, float]:
-    """Gain-loss ratio and its [0, 1]-valued normalization for the values of g.
+@dataclass(frozen=True)
+class GainLossReport:
+    """The gain-loss ratios of the values of a function, with the integral they restate.
+
+    ``integral_nonneg`` says whether the integral of g is non-negative, which
+    holds exactly when ``glr >= 1``.
+    """
+
+    glr: float
+    omega_style: float
+    integral: float
+    integral_nonneg: bool
+
+
+def gain_loss_report(g: SampledFunction) -> GainLossReport:
+    """Gain-loss ratio, its [0, 1]-valued normalization and the integral of g.
 
     The first ratio is integral of the positive part over integral of the
     negative part (+inf when nothing is negative); the second divides by the
@@ -337,7 +353,14 @@ def gain_loss(g: SampledFunction) -> tuple[float, float]:
     "first ratio >= 1", and "second ratio >= 1/2" agree.
     """
     pos, neg = _value_split(g)
-    return _ratios(pos, neg)
+    integral = pos - neg
+    return GainLossReport(*_ratios(pos, neg), integral=integral, integral_nonneg=integral >= 0.0)
+
+
+def gain_loss(g: SampledFunction) -> tuple[float, float]:
+    """(glr, omega_style) of ``gain_loss_report(g)``."""
+    rep = gain_loss_report(g)
+    return rep.glr, rep.omega_style
 
 
 @dataclass(frozen=True)

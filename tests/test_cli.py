@@ -1,6 +1,6 @@
 """End-to-end tests for the command-line interface.
 
-Golden tests pin the JSON output byte for byte; the remaining tests cover the
+Golden tests pin the JSON and table output byte for byte; the remaining tests cover the
 exit-code contract (0 success/yes, 1 verdict no, 2 input or domain error),
 format selection, and the CSV edge cases.
 """
@@ -12,11 +12,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from monotonia.cli import main
+from monotonia import GainLossReport, LoadingReport, MonotonicityReport, OrderingVerdict, PositivityReport
+from monotonia.cli import _fmt_value, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -66,6 +69,11 @@ GOLDEN_CASES = [
     ),
 ]
 
+# The same commands in table format; every JSON case ends in "--format json".
+TABLE_GOLDEN_CASES = [
+    (name.replace(".json", ".txt"), argv[:-1] + ["table"], code) for name, argv, code in GOLDEN_CASES
+]
+
 
 @pytest.fixture
 def run(monkeypatch, capsys):
@@ -93,7 +101,7 @@ def run_subprocess(argv, **extra_env):
 
 
 class TestGolden:
-    @pytest.mark.parametrize("golden_name, argv, expected_code", GOLDEN_CASES)
+    @pytest.mark.parametrize("golden_name, argv, expected_code", GOLDEN_CASES + TABLE_GOLDEN_CASES)
     def test_output_is_byte_identical_and_repeatable(self, run, golden_name, argv, expected_code):
         expected = (GOLDEN / golden_name).read_text(encoding="utf-8")
         code, out, err = run(argv)
@@ -113,6 +121,78 @@ class TestGolden:
         text = (GOLDEN / "premium_quartet_indicator.json").read_text(encoding="utf-8")
         assert '"gain_loss_ratio": Infinity' in text
         assert json.loads(text)["results"]["gain_loss_ratio"] == math.inf
+
+
+def _round12_reference(x: float) -> float:
+    if math.isinf(x):
+        return x
+    if x == 0.0:
+        return 0.0
+    return float(f"{x:.12g}")
+
+
+def _fmt_float_reference(v: float) -> str:
+    """The table formatter of a float as it was: format to 12 digits, parse, format again."""
+    if math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return f"{_round12_reference(v):.12g}"
+
+
+class TestTableFloats:
+    def test_one_format_gives_the_bytes_of_round_then_format(self):
+        rng = np.random.default_rng(1205)
+        finite = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
+        finite = finite[np.isfinite(finite)]
+        magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, 40_000)
+        # Doubles at and next to a 13th digit of 5, where rounding to 12 digits ties.
+        ties = []
+        for _ in range(3_000):
+            digits = "".join(map(str, rng.integers(0, 10, 12)))
+            tie = float(f"{rng.integers(1, 10)}.{digits[1:]}5e{rng.integers(-300, 300)}")
+            ties += [np.nextafter(tie, -math.inf), tie, np.nextafter(tie, math.inf)]
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, sys.float_info.max,
+                 -sys.float_info.max, math.inf, -math.inf, 0.1, 1.0, 999999999999.5, 1e12, 123456789012.5]
+        values = np.concatenate((finite, magnitudes, -magnitudes, ties, edges)).tolist()
+        diffs = [v for v in values if _fmt_value(v) != _fmt_float_reference(v)]
+        assert diffs == []
+        assert len(values) > 100_000
+
+
+class TestResultFields:
+    """The JSON results of each subcommand are its library result's fields, in declared order."""
+
+    @pytest.mark.parametrize(
+        "argv, result_type, dropped, appended",
+        [
+            (["indices", "tests/fixtures/fn_tent.csv", "--p", "2"], MonotonicityReport, [], []),
+            (["indices", "tests/fixtures/fn_tent.csv"], MonotonicityReport, ["p", "loi_p"], []),
+            (
+                ["compare", "tests/fixtures/fn_wave.csv", "tests/fixtures/fn_tent.csv", "--relation", "I"],
+                OrderingVerdict,
+                ["note"],
+                [],
+            ),
+            (
+                ["compare", "tests/fixtures/fn_tent.csv", "tests/fixtures/fn_wave.csv", "--relation", "SI"],
+                OrderingVerdict,
+                ["note"],
+                [],
+            ),
+            (["measure", "tests/fixtures/atoms_mixed.csv"], PositivityReport, [], ["positive_part", "negative_part"]),
+            (
+                ["premium", "tests/fixtures/sample_quartet.csv", "--weight", "indicator", "--param", "0.5"],
+                LoadingReport,
+                [],
+                [],
+            ),
+            (["glr", "tests/fixtures/glr_shifted.csv"], GainLossReport, [], []),
+        ],
+    )
+    def test_results_keys_are_the_result_fields(self, run, argv, result_type, dropped, appended):
+        code, out, err = run([*argv, "--format", "json"])
+        assert code in (0, 1) and err == ""
+        names = [f.name for f in fields(result_type) if f.name not in dropped]
+        assert list(json.loads(out)["results"]) == names + appended
 
 
 class TestExitContract:

@@ -338,15 +338,15 @@ class TestIncrements:
         # The rise over cell 0 is 1 although its difference quotient overflows.
         f = SampledFunction([0.0, 5e-324, 1.0], [0.0, 1.0, 0.0])
         assert (loi(f), lod(f), total_variation(f)) == (1.0, 1.0, 2.0)
-        with pytest.raises(InvalidInputError) as excinfo:
-            loi_p(f, 2.0)
-        assert str(excinfo.value) == "the difference quotient of cell 0 on [0.0, 5e-324] overflows float64"
-        # The same fall: loi_p's own cells overflow.
+        assert loi_p(f, 2.0) == 1.0
+        # The same fall over the sub-normal cell: loi_p = 1 / sqrt(5e-324) is finite at p = 2.
         g = SampledFunction([0.0, 5e-324, 1.0], [1.0, 0.0, 0.0])
         assert (loi(g), lod(g), total_variation(g)) == (1.0, 0.0, 1.0)
+        assert_close(loi_p(g, 2.0), 1.0 / math.sqrt(5e-324))
+        assert_close(loi_p(g, 2.0), 4.4989137945431964e161)
         with pytest.raises(InvalidInputError) as excinfo:
-            loi_p(g, 2.0)
-        assert str(excinfo.value) == "the difference quotient of cell 0 on [0.0, 5e-324] overflows float64"
+            loi_p(g, 400.0)
+        assert str(excinfo.value) == "loi_p for p=400.0 overflows float64"
 
     def test_loi_is_within_the_summation_bound_of_fsum(self):
         rng = np.random.default_rng(99)
@@ -401,6 +401,14 @@ class TestLpFromFallingCells:
         # the terms are 1e500 and 1e700, so loi_p = 10**(700/400), set by the shallow cell.
         f = SampledFunction([0.0, 1e-300, 1e300], [0.0, -1e-298, -1e-298 - 1e301])
         assert_close(loi_p(f, 400.0), 10.0**1.75)
+
+    def test_an_overflowing_width_or_increment_is_named(self):
+        with pytest.raises(InvalidInputError) as excinfo:
+            loi_p(SampledFunction([-1.5e308, 1.5e308], [0.0, -1.0]), 2.0)
+        assert str(excinfo.value) == "the width of cell 0 on [-1.5e+308, 1.5e+308] overflows float64"
+        with pytest.raises(InvalidInputError) as excinfo:
+            loi_p(SampledFunction([0.0, 1.0, 1e300], [0.0, 1e308, -1e308]), 2.0)
+        assert str(excinfo.value) == "the increment of cell 1 on [1.0, 1e+300] overflows float64"
 
     def test_underflowing_quotient_names_the_cell(self):
         f = SampledFunction([0.0, 1e300, 2e300], [0.0, -1e-300, 0.0])

@@ -13,6 +13,7 @@ from monotonia import (
     GridDensityMeasure,
     InvalidInputError,
     MixedSignedMeasure,
+    PositivityReport,
     SampledFunction,
     UndefinedIndexError,
     derivative,
@@ -26,6 +27,7 @@ from monotonia import (
     lop_norm,
     los,
     los_norm,
+    positivity_report,
     total_variation,
 )
 
@@ -254,6 +256,41 @@ class TestMixed:
         assert lon(mixed) == lon(GRID)
 
 
+def bits(value) -> str | None:
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.filterwarnings("error")
+class TestPositivityReport:
+    def measures(self):
+        rng = np.random.default_rng(515)
+        for _ in range(40):
+            yield random_discrete(rng)
+            yield random_grid(rng)
+            yield MixedSignedMeasure(random_discrete(rng, allow_empty=True), random_grid(rng))
+            f = continuous_function(rng)
+            yield GridDensityMeasure.from_derivative_profile(derivative(f))
+        yield ATOMS
+        yield GRID
+
+    def test_fields_are_the_single_indices_bit_for_bit(self):
+        for nu in self.measures():
+            rep = positivity_report(nu)
+            assert isinstance(rep, PositivityReport)
+            want = (lop(nu), lon(nu), los(nu), nu.total_variation(), lop_norm(nu), lon_norm(nu), los_norm(nu))
+            got = (rep.lop, rep.lon, rep.los, rep.tv, rep.lop_norm, rep.lon_norm, rep.los_norm)
+            assert list(map(bits, got)) == list(map(bits, want))
+
+    def test_zero_measure_has_no_normalized_indices(self):
+        zero_grid = GridDensityMeasure([1.0, 2.0], [0.0, 0.0])
+        for nu in (EMPTY, zero_grid, MixedSignedMeasure(EMPTY, zero_grid)):
+            assert positivity_report(nu) == PositivityReport(0.0, 0.0, 0.0, 0.0, None, None, None)
+
+    def test_rejects_what_is_not_a_measure(self):
+        with pytest.raises(InvalidInputError):
+            positivity_report([1.0, -1.0])
+
+
 class TestFunctionBridge:
     @given(dyadic_functions())
     @settings(max_examples=150, deadline=None)
@@ -333,7 +370,7 @@ class TestOverflowingTotalVariation:
         ],
     )
     def test_raises_instead_of_inf_or_nan(self, nu):
-        for index in (lop_norm, lon_norm, los_norm, lop, los, lambda m: m.total_variation()):
+        for index in (lop_norm, lon_norm, los_norm, lop, los, lambda m: m.total_variation(), positivity_report):
             with pytest.raises(InvalidInputError) as excinfo:
                 index(nu)
             assert str(excinfo.value) == "the total variation overflows float64"

@@ -13,6 +13,7 @@ import pytest
 from monotonia import (
     DegenerateWeightError,
     EmpiricalDistribution,
+    GainLossReport,
     InvalidInputError,
     InvalidParameterError,
     SampledFunction,
@@ -20,6 +21,7 @@ from monotonia import (
     WEIGHT_CATALOG,
     WeightSpec,
     gain_loss,
+    gain_loss_report,
     loading_covariance,
     loading_report,
     premium,
@@ -399,6 +401,37 @@ class TestGainLoss:
                 continue
             glr, omega = gain_loss(f)
             assert (area > 0.0) == (glr > 1.0) == (omega > 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+class TestGainLossReport:
+    def test_ratios_are_those_of_gain_loss_and_the_integral_agrees(self):
+        rng = np.random.default_rng(3131)
+        functions = [
+            SampledFunction([0.0, 1.0], [-0.5, 0.5]),
+            SampledFunction([0.0, 2.0], [1.0, 3.0]),
+            SampledFunction([0.0, 2.0], [-1.0, -3.0]),
+        ]
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            xs = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, n))))
+            functions.append(SampledFunction(xs, rng.uniform(-3.0, 3.0, n + 1)))
+        for g in functions:
+            rep = gain_loss_report(g)
+            assert isinstance(rep, GainLossReport)
+            assert (rep.glr, rep.omega_style) == gain_loss(g)
+            assert rep.integral_nonneg == (rep.glr >= 1.0) == (rep.integral >= 0.0)
+
+    def test_integral_is_the_signed_area(self):
+        # Gains 1/4 + 1/6 and a loss of 1/24, the second cell split at its root x = 2/3.
+        rep = gain_loss_report(SampledFunction([0.0, 0.5, 1.0], [0.0, 1.0, -0.5]))
+        assert_close(rep.integral, 0.375)
+        assert_close(rep.glr, 10.0)
+        assert rep.integral_nonneg
+
+    def test_zero_function_is_undefined(self):
+        with pytest.raises(UndefinedRatioError):
+            gain_loss_report(SampledFunction([0.0, 1.0], [0.0, 0.0]))
 
 
 class TestLoadingReport:
