@@ -5,6 +5,17 @@ callers can catch one base class.  Validation errors additionally derive from
 ``ValueError`` to cooperate with generic error handling.
 """
 
+__all__ = [
+    "MonotoniaError",
+    "InvalidInputError",
+    "InvalidParameterError",
+    "UndefinedIndexError",
+    "UndefinedComparisonError",
+    "DegenerateWeightError",
+    "UndefinedRatioError",
+    "NumericalInvariantError",
+]
+
 
 class MonotoniaError(Exception):
     """Base class for all errors raised by monotonia."""

@@ -281,6 +281,11 @@ def _as_sampled(g) -> SampledFunction:
     raise InvalidInputError(f"expected a SampledFunction or StandardizedFunction, got {type(g).__name__}")
 
 
+def _cell(f: SampledFunction, i: int) -> str:
+    """Cell ``i`` of ``f`` with its x-range, as the errors about it name it."""
+    return f"cell {i} on [{float(f.xs[i])!r}, {float(f.xs[i + 1])!r}]"
+
+
 def derivative(g: StandardizedFunction | SampledFunction) -> DerivativeProfile:
     """Cell-wise difference quotients of the samples (the standardizing shift leaves them unchanged)."""
     f = _as_sampled(g)
@@ -296,10 +301,7 @@ def derivative(g: StandardizedFunction | SampledFunction) -> DerivativeProfile:
     except InvalidInputError:
         # Cells of valid samples have positive length: only an overflow leaves one non-finite.
         i = int(np.argmin(np.isfinite(lengths) & np.isfinite(slopes)))
-        raise InvalidInputError(
-            f"the difference quotient of cell {i} on [{float(f.xs[i])!r}, {float(f.xs[i + 1])!r}] "
-            "overflows float64"
-        ) from None
+        raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64") from None
     object.__setattr__(profile, "_ys", f.ys)
     return profile
 
@@ -319,6 +321,27 @@ def _increment_blocks(f: SampledFunction):
         with np.errstate(over="ignore"):
             np.subtract(ys[start + 1 : start + 1 + block.shape[0]], ys[start : start + block.shape[0]], out=block)
         yield start, block
+
+
+def _signed_cells(f: SampledFunction, code: int):
+    """(first cell, cells, their widths, their increments) of one sign of ``f``, block by block.
+
+    ``code`` is ``_backend.NEG`` for the falling cells (Δy < 0) or
+    ``_backend.POS`` for the rising ones (Δy > 0); the cells are numbered
+    from the first cell of their block.  Only these cells carry the negative
+    or positive part of df, so the powered indices and the survival curves
+    take their widths and quotients from here.  The widths and increments
+    are fresh arrays, which the caller may overwrite.
+    """
+    xs = f.xs
+    select = np.less if code == _backend.NEG else np.greater
+    buf = np.empty(min(_backend.BLOCK, xs.shape[0] - 1))
+    for start, increments in _increment_blocks(f):
+        widths = buf[: increments.shape[0]]
+        with np.errstate(over="ignore"):
+            np.subtract(xs[start + 1 : start + 1 + widths.shape[0]], xs[start : start + widths.shape[0]], out=widths)
+        cells = np.flatnonzero(select(increments, 0.0))
+        yield start, cells, widths[cells], increments[cells]
 
 
 _LINEAR_SUMS = {

@@ -21,9 +21,10 @@ from .functions import (
     SampledFunction,
     StandardizedFunction,
     _as_sampled,
-    _increment_blocks,
+    _cell,
     _increment_split,
     _increment_sum,
+    _signed_cells,
 )
 
 __all__ = [
@@ -121,18 +122,6 @@ def loi_p(g: StandardizedFunction | SampledFunction, p: float) -> float:
     return _loi_p(_as_sampled(g), p)
 
 
-def _falling_cells(f: SampledFunction):
-    """(first cell, falling cells, their widths, their increments) of ``f``, block by block."""
-    xs = f.xs
-    buf = np.empty(min(_backend.BLOCK, xs.shape[0] - 1))
-    for start, increments in _increment_blocks(f):
-        widths = buf[: increments.shape[0]]
-        with np.errstate(over="ignore"):
-            np.subtract(xs[start + 1 : start + 1 + widths.shape[0]], xs[start : start + widths.shape[0]], out=widths)
-        falling = np.flatnonzero(increments < 0.0)
-        yield start, falling, widths[falling], increments[falling]
-
-
 def _loi_p(f: SampledFunction, p: float) -> float:
     """``loi_p`` of ``f``, from the widths and increments of its falling cells."""
     p = float(p)
@@ -142,7 +131,7 @@ def _loi_p(f: SampledFunction, p: float) -> float:
         return _increment_sum(f, _backend.NEG)
     total = 0.0
     falls = False
-    for _, falling, widths, slopes in _falling_cells(f):
+    for _, falling, widths, slopes in _signed_cells(f, _backend.NEG):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             np.divide(slopes, widths, out=slopes)
         # A quotient or width that overflows makes this sum inf or the floor below
@@ -166,28 +155,23 @@ def _scaled_loi_p(f: SampledFunction, p: float) -> float:
     quotient is formed, so a sub-normal width cannot overflow a term of a
     finite index.
     """
-    xs = f.xs
-
-    def cell(i: int) -> str:
-        return f"cell {i} on [{float(xs[i])!r}, {float(xs[i + 1])!r}]"
 
     def terms():
-        for start, falling, widths, increments in _falling_cells(f):
+        for start, falling, widths, increments in _signed_cells(f, _backend.NEG):
             for what, values in (("width", widths), ("increment", increments)):
                 if np.isinf(values).any():
                     i = start + int(falling[np.argmax(np.isinf(values))])
-                    raise InvalidInputError(f"the {what} of {cell(i)} overflows float64")
+                    raise InvalidInputError(f"the {what} of {_cell(f, i)} overflows float64")
             with np.errstate(over="ignore", under="ignore"):
-                yield start, falling, increments / np.power(widths, 1.0 - 1.0 / p)
+                yield increments / np.power(widths, 1.0 - 1.0 / p)
 
-    scale = max(-float(t.min()) for _, _, t in terms() if t.shape[0])
+    scale = max(-float(t.min()) for t in terms() if t.shape[0])
     if math.isinf(scale):
         raise InvalidInputError(f"loi_p for p={p!r} overflows float64")
     if scale == 0.0:
-        i = next(start + int(falling[0]) for start, falling, _ in terms() if falling.shape[0])
-        raise InvalidInputError(f"the difference quotient of {cell(i)} underflows float64")
+        raise InvalidInputError(f"loi_p for p={p!r} underflows float64")
     total = 0.0
-    for _, _, t in terms():
+    for t in terms():
         total += _backend.transform_reduce(t / scale, _backend.NEG_POW, p)
     index = scale * total ** (1.0 / p)
     if math.isinf(index):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UndefinedComparisonError
-from .functions import SampledFunction, StandardizedFunction, derivative, total_variation
+from . import _backend
+from .errors import InvalidInputError, InvalidParameterError, UndefinedComparisonError
+from .functions import SampledFunction, StandardizedFunction, _as_sampled, _cell, _signed_cells, total_variation
 from .indices import MonotonicityReport, report
 
 __all__ = [
@@ -27,8 +28,6 @@ __all__ = [
     "survival_plus",
     "compare",
     "compare_strict",
-    "INDEX_RELATIONS",
-    "STRICT_RELATIONS",
 ]
 
 INDEX_RELATIONS = ("I", "D", "M")
@@ -89,15 +88,27 @@ class OrderingVerdict:
 
 
 def _curve(g: StandardizedFunction | SampledFunction, sign: str) -> SurvivalCurve:
-    profile = derivative(g)
-    if sign == "neg":
-        parts = np.where(profile.slopes < 0.0, -profile.slopes, 0.0)
-    else:
-        parts = np.where(profile.slopes > 0.0, profile.slopes, 0.0)
-    tv = total_variation(g)
+    """The survival curve of one part of g', from the cells of that sign alone.
+
+    The other cells have part 0, which makes no break and adds to no tail.
+    """
+    f = _as_sampled(g)
+    width_blocks, part_blocks = [], []
+    for start, cells, widths, increments in _signed_cells(f, _backend.NEG if sign == "neg" else _backend.POS):
+        with np.errstate(all="ignore"):
+            quotients = np.divide(np.abs(increments, out=increments), widths, out=increments)
+        finite = np.isfinite(widths) & np.isfinite(quotients)
+        if not finite.all():
+            i = start + int(cells[np.argmin(finite)])
+            raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64")
+        width_blocks.append(widths)
+        part_blocks.append(quotients)
+    lengths, parts = np.concatenate(width_blocks), np.concatenate(part_blocks)
+    tv = total_variation(f)
+    # Stable: tied parts keep the order of their cells, and so their tails add in that order.
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
-    suffix = np.cumsum(profile.lengths[order][::-1])[::-1]
+    suffix = np.cumsum(lengths[order][::-1])[::-1]
     # The first cell of each run of equal positive parts gives its break and tail.
     new_run = np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1]))
     starts = np.flatnonzero(new_run & (sorted_parts > 0.0))

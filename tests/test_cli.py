@@ -69,10 +69,41 @@ GOLDEN_CASES = [
     ),
 ]
 
-# The same commands in table format; every JSON case ends in "--format json".
-TABLE_GOLDEN_CASES = [
-    (name.replace(".json", ".txt"), argv[:-1] + ["table"], code) for name, argv, code in GOLDEN_CASES
+# The survival-curve verdicts.  They are listed after the other cases, in both
+# formats, so that those keep their test ids.
+STRICT_GOLDEN_CASES = [
+    (
+        "compare_tent_wave_SI.json",
+        [
+            "compare",
+            "tests/fixtures/fn_tent.csv",
+            "tests/fixtures/fn_wave.csv",
+            "--relation",
+            "SI",
+            "--format",
+            "json",
+        ],
+        1,
+    ),
+    (
+        "compare_tent_wave_SD.json",
+        [
+            "compare",
+            "tests/fixtures/fn_tent.csv",
+            "tests/fixtures/fn_wave.csv",
+            "--relation",
+            "SD",
+            "--format",
+            "json",
+        ],
+        0,
+    ),
 ]
+
+
+def as_table(cases):
+    """The same commands in table format; every JSON case ends in "--format json"."""
+    return [(name.replace(".json", ".txt"), argv[:-1] + ["table"], code) for name, argv, code in cases]
 
 
 @pytest.fixture
@@ -101,7 +132,10 @@ def run_subprocess(argv, **extra_env):
 
 
 class TestGolden:
-    @pytest.mark.parametrize("golden_name, argv, expected_code", GOLDEN_CASES + TABLE_GOLDEN_CASES)
+    @pytest.mark.parametrize(
+        "golden_name, argv, expected_code",
+        GOLDEN_CASES + as_table(GOLDEN_CASES) + STRICT_GOLDEN_CASES + as_table(STRICT_GOLDEN_CASES),
+    )
     def test_output_is_byte_identical_and_repeatable(self, run, golden_name, argv, expected_code):
         expected = (GOLDEN / golden_name).read_text(encoding="utf-8")
         code, out, err = run(argv)
@@ -111,7 +145,7 @@ class TestGolden:
         code2, out2, _ = run(argv)
         assert (code2, out2) == (code, out)
 
-    @pytest.mark.parametrize("golden_name, argv, expected_code", GOLDEN_CASES)
+    @pytest.mark.parametrize("golden_name, argv, expected_code", GOLDEN_CASES + STRICT_GOLDEN_CASES)
     def test_goldens_are_valid_json_with_fixed_shape(self, golden_name, argv, expected_code):
         payload = json.loads((GOLDEN / golden_name).read_text(encoding="utf-8"))
         assert sorted(payload) == ["command", "input", "results", "warnings"]

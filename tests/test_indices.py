@@ -410,8 +410,9 @@ class TestLpFromFallingCells:
             loi_p(SampledFunction([0.0, 1.0, 1e300], [0.0, 1e308, -1e308]), 2.0)
         assert str(excinfo.value) == "the increment of cell 1 on [1.0, 1e+300] overflows float64"
 
-    def test_underflowing_quotient_names_the_cell(self):
+    def test_an_index_below_float64_names_loi_p(self):
+        # One cell of width 1e300 falling by 1e-300: loi_p = 1e-300 / sqrt(1e300) = 1e-450.
         f = SampledFunction([0.0, 1e300, 2e300], [0.0, -1e-300, 0.0])
         with pytest.raises(InvalidInputError) as excinfo:
             loi_p(f, 2.0)
-        assert str(excinfo.value) == "the difference quotient of cell 0 on [0.0, 1e+300] underflows float64"
+        assert str(excinfo.value) == "loi_p for p=2.0 underflows float64"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 
 from monotonia import (
+    InvalidInputError,
     InvalidParameterError,
     SampledFunction,
+    SurvivalCurve,
     UndefinedComparisonError,
     compare,
     compare_strict,
+    derivative,
     loi,
     loi_norm,
     lod,
@@ -23,6 +27,7 @@ from monotonia import (
     survival_plus,
     total_variation,
 )
+from monotonia._backend import BLOCK
 
 from helpers import (
     assert_close,
@@ -135,6 +140,92 @@ class TestSurvivalOracle:
         # total bit for bit.
         assert survival_minus(f).integral() == loi(f)
         assert survival_plus(f).integral() == lod(f)
+
+
+def reference_curve(g, sign: str) -> SurvivalCurve:
+    """The curve from the whole derivative profile, every cell of the other sign at part 0."""
+    profile = derivative(g)
+    if sign == "neg":
+        parts = np.where(profile.slopes < 0.0, -profile.slopes, 0.0)
+    else:
+        parts = np.where(profile.slopes > 0.0, profile.slopes, 0.0)
+    order = np.argsort(parts, kind="stable")
+    sorted_parts = parts[order]
+    suffix = np.cumsum(profile.lengths[order][::-1])[::-1]
+    new_run = np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1]))
+    starts = np.flatnonzero(new_run & (sorted_parts > 0.0))
+    return SurvivalCurve(sorted_parts[starts], suffix[starts], sign, total_variation(g))
+
+
+def curve_bits(curve) -> tuple[bytes, bytes, float]:
+    return curve.breaks.tobytes(), curve.tail_lengths.tobytes(), curve.tv
+
+
+def tied_walks(rng: np.random.Generator, n: int):
+    """Random walks of n cells that repeat many slopes, from rounded ordinates and from lines."""
+    yield SampledFunction(np.linspace(-3.0, 7.0, n + 1), np.round(np.cumsum(rng.normal(size=n + 1)), 1))
+    xs = np.concatenate(([0.0], np.cumsum(rng.choice([0.25, 0.5, 1.0], n))))
+    yield SampledFunction(xs, 0.1 * np.cumsum(rng.integers(-2, 3, n + 1)))
+    # Runs of four samples on a line c·x through the origin, c a signed power of two: each
+    # cell within a run has slope c exactly, whatever its width, so tied parts have unequal
+    # lengths and their tail sums depend on the order in which they are added.
+    xs = np.cumsum(rng.uniform(0.1, 1.0, n + 1)) - 3.0
+    yield SampledFunction(xs, np.repeat(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], n + 1), 4)[: n + 1] * xs)
+
+
+@pytest.mark.filterwarnings("error")
+class TestCurveFromSignedCells:
+    def test_same_bits_as_the_whole_profile(self):
+        rng = np.random.default_rng(4242)
+        for n in (1, 2, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+            for f in tied_walks(rng, n):
+                for g in (f, standardize(f)):
+                    for sign, survival in (("neg", survival_minus), ("pos", survival_plus)):
+                        assert curve_bits(survival(g)) == curve_bits(reference_curve(g, sign)), (n, sign)
+
+    def test_strict_verdicts_match_the_whole_profile(self):
+        rng = np.random.default_rng(4343)
+        for _ in range(20):
+            walks = [f for f in tied_walks(rng, int(rng.integers(1, 200))) if total_variation(f) > 0.0]
+            for g, h, (relation, sign) in itertools.product(walks, walks, (("SI", "neg"), ("SD", "pos"))):
+                curve_g, curve_h = reference_curve(g, sign), reference_curve(h, sign)
+                grid = np.unique(np.concatenate(([0.0], curve_g.breaks, curve_h.breaks)))
+                violated = curve_g.value(grid) / curve_g.tv > curve_h.value(grid) / curve_h.tv
+                verdict = compare_strict(g, h, relation)
+                assert verdict.holds == ("no" if violated.any() else "yes")
+                assert verdict.witness == (float(grid[np.argmax(violated)]) if violated.any() else None)
+
+    def test_plus_curve_is_the_minus_curve_of_the_negation(self):
+        rng = np.random.default_rng(4444)
+        for n in (1, 50, BLOCK + 1):
+            for f in tied_walks(rng, n):
+                assert curve_bits(survival_plus(f)) == curve_bits(survival_minus(negate(f)))
+
+    def test_a_cell_of_the_other_sign_never_raises(self):
+        # Cell 0 rises by 1 over a sub-normal width, so its difference quotient overflows.
+        f = SampledFunction([0.0, 5e-324, 1.0], [0.0, 1.0, 0.0])
+        curve = survival_minus(f)
+        assert curve.breaks.tolist() == [1.0]
+        assert curve.tail_lengths.tolist() == [1.0]
+        assert curve.integral() == loi(f) == 1.0
+        assert compare_strict(f, TENT, "SI").holds == "yes"
+        with pytest.raises(InvalidInputError) as excinfo:
+            survival_plus(f)
+        assert str(excinfo.value) == "the difference quotient of cell 0 on [0.0, 5e-324] overflows float64"
+
+    def test_an_overflowing_cell_of_the_curve_is_named(self):
+        with pytest.raises(InvalidInputError) as excinfo:
+            survival_minus(SampledFunction([0.0, 5e-324, 1.0], [1.0, 0.0, 0.0]))
+        assert str(excinfo.value) == "the difference quotient of cell 0 on [0.0, 5e-324] overflows float64"
+        # A fall from 1e308 to -1e308 in a later block: the increment itself overflows.
+        k = BLOCK + 3
+        ys = np.zeros(BLOCK + 11)
+        ys[k], ys[k + 1 :] = 1e308, -1e308
+        f = SampledFunction(np.arange(ys.shape[0], dtype=np.float64), ys)
+        with pytest.raises(InvalidInputError) as excinfo:
+            compare_strict(f, TENT, "SI")
+        cell = f"cell {k} on [{float(k)!r}, {float(k + 1)!r}]"
+        assert str(excinfo.value) == f"the difference quotient of {cell} overflows float64"
 
 
 class TestCompare:
