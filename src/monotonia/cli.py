@@ -191,9 +191,47 @@ def _round_floats(obj):
     return obj
 
 
+def _fmt_pairs(a: np.ndarray) -> str:
+    """``_fmt_value`` of an (n, 2) array's rows as lists, in one %-format; + 0.0 turns -0.0 into the 0 it prints."""
+    return "[" + ", ".join(["[%.12g, %.12g]"] * a.shape[0]) % tuple((a + 0.0).ravel().tolist()) + "]"
+
+
+def _json_pairs(a: np.ndarray, pad: str) -> str:
+    """``json.dumps`` of an (n, 2) array's rows as lists, rounded as ``_round12`` does, nested at ``pad``.
+
+    Both passes are one %-format: ``%.12g`` rounds every value, and ``%r``
+    writes the rounded float as ``json.dumps`` does.  + 0.0 turns -0.0 into
+    0.0, as ``_round12`` does.  The values are finite.
+    """
+    if a.shape[0] == 0:
+        return "[]"
+    flat = (a + 0.0).ravel().tolist()
+    rounded = map(float, (("%.12g " * len(flat)) % tuple(flat)).split())
+    outer, inner = pad + "  ", pad + "    "
+    pair = f"[\n{inner}%r,\n{inner}%r\n{outer}]"
+    return f"[\n{outer}" + f",\n{outer}".join([pair] * a.shape[0]) % tuple(rounded) + f"\n{pad}]"
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(_round_floats(value), indent=2)`` nested at ``pad``; an array holds (n, 2) pairs.
+
+    A JSON string holds no raw newline, so indenting every line of a nested
+    dump places it at ``pad``.
+    """
+    if isinstance(value, np.ndarray):
+        return _json_pairs(value, pad)
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        items = [f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    return json.dumps(_round_floats(value), indent=2).replace("\n", "\n" + pad)
+
+
 def _fmt_value(v) -> str:
     if v is None:
         return "undefined"
+    if isinstance(v, np.ndarray):
+        return _fmt_pairs(v)
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, float):
@@ -207,7 +245,7 @@ def _fmt_value(v) -> str:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_round_floats(payload), indent=2))
+        print(_json(payload))
         return
     print(f"command: {payload['command']}")
     for key, value in payload["input"].items():
@@ -255,8 +293,9 @@ def _cmd_measure(args) -> tuple[dict, dict, list[str], int]:
     measure, warnings = _load_atoms(args.file)
     results = dataclasses.asdict(positivity_report(measure))
     parts = jordan(measure)
-    results["positive_part"] = [list(a) for a in parts.positive_part.atoms]
-    results["negative_part"] = [list(a) for a in parts.negative_part.atoms]
+    # (n, 2) arrays of (location, weight) rows, which _emit prints in one pass per format.
+    results["positive_part"] = np.column_stack((parts.positive_part.locations, parts.positive_part.weights))
+    results["negative_part"] = np.column_stack((parts.negative_part.locations, parts.negative_part.weights))
     return {"file": args.file}, results, warnings, 0
 
 

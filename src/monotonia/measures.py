@@ -85,7 +85,7 @@ class DiscreteSignedMeasure:
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
-        return [(float(x), float(w)) for x, w in zip(self.locations, self.weights)]
+        return list(zip(self.locations.tolist(), self.weights.tolist()))
 
     def total_variation(self) -> float:
         return positivity_report(self).tv

@@ -12,6 +12,7 @@ which is why verdicts carry a note whenever the total variations differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +109,17 @@ def _curve(g: StandardizedFunction | SampledFunction, sign: str) -> SurvivalCurv
     # Stable: tied parts keep the order of their cells, and so their tails add in that order.
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
-    suffix = np.cumsum(lengths[order][::-1])[::-1]
+    with np.errstate(over="ignore"):
+        suffix = np.cumsum(lengths[order][::-1])[::-1]
     # The first cell of each run of equal positive parts gives its break and tail.
     new_run = np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1]))
     starts = np.flatnonzero(new_run & (sorted_parts > 0.0))
-    return SurvivalCurve(breaks=sorted_parts[starts], tail_lengths=suffix[starts], sign=sign, tv=tv)
+    tails = suffix[starts]
+    # The tails fall, so the first is the largest: the length of every cell of positive part.
+    if tails.shape[0] and math.isinf(tails[0]):
+        kind = "falling" if sign == "neg" else "rising"
+        raise InvalidInputError(f"the total length of the {kind} cells overflows float64")
+    return SurvivalCurve(breaks=sorted_parts[starts], tail_lengths=tails, sign=sign, tv=tv)
 
 
 def survival_minus(g: StandardizedFunction | SampledFunction) -> SurvivalCurve:

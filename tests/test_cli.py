@@ -12,13 +12,14 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from monotonia import GainLossReport, LoadingReport, MonotonicityReport, OrderingVerdict, PositivityReport
+from monotonia import cli, jordan, positivity_report
 from monotonia.cli import _fmt_value, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +101,22 @@ STRICT_GOLDEN_CASES = [
     ),
 ]
 
+# Awkward values for the Jordan parts' emitter, after the cases above so that their test ids keep their numbers.
+MEASURE_GOLDEN_CASES = [
+    # -0.0, sub-normal, near-maximal and 12-digit-tie values in both Jordan parts.
+    (
+        "measure_awkward.json",
+        ["measure", "tests/fixtures/atoms_awkward.csv", "--format", "json"],
+        0,
+    ),
+    # An all-negative measure: its positive part is empty.
+    (
+        "measure_negative.json",
+        ["measure", "tests/fixtures/atoms_negative.csv", "--format", "json"],
+        0,
+    ),
+]
+
 
 def as_table(cases):
     """The same commands in table format; every JSON case ends in "--format json"."""
@@ -134,7 +151,8 @@ def run_subprocess(argv, **extra_env):
 class TestGolden:
     @pytest.mark.parametrize(
         "golden_name, argv, expected_code",
-        GOLDEN_CASES + as_table(GOLDEN_CASES) + STRICT_GOLDEN_CASES + as_table(STRICT_GOLDEN_CASES),
+        GOLDEN_CASES + as_table(GOLDEN_CASES) + STRICT_GOLDEN_CASES + as_table(STRICT_GOLDEN_CASES)
+        + MEASURE_GOLDEN_CASES + as_table(MEASURE_GOLDEN_CASES),
     )
     def test_output_is_byte_identical_and_repeatable(self, run, golden_name, argv, expected_code):
         expected = (GOLDEN / golden_name).read_text(encoding="utf-8")
@@ -145,7 +163,9 @@ class TestGolden:
         code2, out2, _ = run(argv)
         assert (code2, out2) == (code, out)
 
-    @pytest.mark.parametrize("golden_name, argv, expected_code", GOLDEN_CASES + STRICT_GOLDEN_CASES)
+    @pytest.mark.parametrize(
+        "golden_name, argv, expected_code", GOLDEN_CASES + STRICT_GOLDEN_CASES + MEASURE_GOLDEN_CASES
+    )
     def test_goldens_are_valid_json_with_fixed_shape(self, golden_name, argv, expected_code):
         payload = json.loads((GOLDEN / golden_name).read_text(encoding="utf-8"))
         assert sorted(payload) == ["command", "input", "results", "warnings"]
@@ -172,24 +192,136 @@ def _fmt_float_reference(v: float) -> str:
     return f"{_round12_reference(v):.12g}"
 
 
+def _near_ties(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Doubles at and next to a 13th significant digit of 5, where rounding to 12 digits ties."""
+    ties = []
+    for _ in range(n):
+        digits = "".join(map(str, rng.integers(0, 10, 12)))
+        tie = float(f"{rng.integers(1, 10)}.{digits[1:]}5e{rng.integers(-300, 300)}")
+        ties += [np.nextafter(tie, -math.inf), tie, np.nextafter(tie, math.inf)]
+    return np.array(ties)
+
+
 class TestTableFloats:
     def test_one_format_gives_the_bytes_of_round_then_format(self):
         rng = np.random.default_rng(1205)
         finite = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
         finite = finite[np.isfinite(finite)]
         magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, 40_000)
-        # Doubles at and next to a 13th digit of 5, where rounding to 12 digits ties.
-        ties = []
-        for _ in range(3_000):
-            digits = "".join(map(str, rng.integers(0, 10, 12)))
-            tie = float(f"{rng.integers(1, 10)}.{digits[1:]}5e{rng.integers(-300, 300)}")
-            ties += [np.nextafter(tie, -math.inf), tie, np.nextafter(tie, math.inf)]
+        ties = _near_ties(rng, 3_000)
         edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, sys.float_info.max,
                  -sys.float_info.max, math.inf, -math.inf, 0.1, 1.0, 999999999999.5, 1e12, 123456789012.5]
         values = np.concatenate((finite, magnitudes, -magnitudes, ties, edges)).tolist()
         diffs = [v for v in values if _fmt_value(v) != _fmt_float_reference(v)]
         assert diffs == []
         assert len(values) > 100_000
+
+
+def _round_floats_reference(obj):
+    if isinstance(obj, float):
+        return _round12_reference(obj)
+    if isinstance(obj, dict):
+        return {k: _round_floats_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats_reference(v) for v in obj]
+    return obj
+
+
+def _fmt_value_reference(v) -> str:
+    if v is None:
+        return "undefined"
+    if isinstance(v, bool):
+        return "yes" if v else "no"
+    if isinstance(v, float):
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return "0" if v == 0.0 else f"{v:.12g}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_fmt_value_reference(e) for e in v) + "]"
+    return str(v)
+
+
+def _emit_reference(payload: dict, fmt: str) -> str:
+    """The output of the per-value emitter: one Python call per float."""
+    if fmt == "json":
+        return json.dumps(_round_floats_reference(payload), indent=2) + "\n"
+    lines = [f"command: {payload['command']}"]
+    lines += [f"{key}: {_fmt_value_reference(value)}" for key, value in payload["input"].items()]
+    lines += [f"{key}: {_fmt_value_reference(value)}" for key, value in payload["results"].items()]
+    lines += [f"warning: {warning}" for warning in payload["warnings"]]
+    return "\n".join(lines) + "\n"
+
+
+def _measure_reference(path: str, fmt: str) -> str:
+    """``monotonia measure`` as it printed the Jordan parts: lists of atoms, each float formatted alone."""
+    measure, warnings = cli._load_atoms(path)
+    results = asdict(positivity_report(measure))
+    parts = jordan(measure)
+    for key, part in (("positive_part", parts.positive_part), ("negative_part", parts.negative_part)):
+        results[key] = [[float(x), float(w)] for x, w in zip(part.locations, part.weights)]
+    return _emit_reference({"command": "measure", "input": {"file": path}, "results": results, "warnings": warnings}, fmt)
+
+
+def _signed(rng: np.random.Generator, values: np.ndarray) -> np.ndarray:
+    return np.where(rng.random(values.shape[0]) < 0.5, -values, values)
+
+
+class TestMeasureEmitter:
+    """``measure`` prints each Jordan part in one pass per format, with the bytes of the per-value emitter."""
+
+    EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-4, -1e-4, 9.9999999999995e-05,
+             np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 99999999999.95, 1e11, 999999999999.5, 1e12,
+             123456789012.5, 0.1234567890125, 9999999999999998.0, 1e16, -1e16, 1e17, -1e17,
+             sys.float_info.max, -sys.float_info.max]
+
+    @staticmethod
+    def atoms(name: str) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(list(map(ord, name)))
+        if name == "edges":
+            locations = np.array(TestMeasureEmitter.EDGES)
+            weights = np.resize([5e-324, -5e-324, 1e12, -1e13, 1e14, -1e15, 1e16, -1e17, 0.1234567890125,
+                                 -123456789012.5, 1e-4, -1e-4, 2.5e-310], locations.shape[0])
+            weights[3] = sys.float_info.max
+            return locations, weights
+        if name == "one atom in each part":
+            return np.array([-0.0, 1e16]), np.array([5e-324, -0.1234567890125])
+        if name == "positive only":
+            return np.array([-1e-4, 2.0, 1e17]), np.array([1e-4, 1e300, 123456789012.5])
+        if name == "negative only":
+            return np.array([-3.5]), np.array([-sys.float_info.max])
+        if name == "empty":
+            return np.empty(0), np.empty(0)
+        if name == "ties and exponent switches":
+            # %.12g writes an exponent from 1e12 on and repr from 1e16 on; both below 1e-4.
+            magnitudes = np.concatenate((10.0 ** rng.uniform(11.0, 17.0, 5_000), 1e-4 * rng.uniform(0.5, 2.0, 2_000)))
+            values = np.concatenate((_near_ties(rng, 1_000), _signed(rng, magnitudes)))
+            return values, _signed(rng, rng.permutation(np.abs(values)))
+        # Random bit patterns: any finite location, and weights below 1e300 so that the total variation is finite.
+        bits = rng.integers(0, 2**64, (2, 110_000), dtype=np.uint64).view(np.float64)
+        locations = bits[0][np.isfinite(bits[0])]
+        weights = bits[1][np.isfinite(bits[1]) & (np.abs(bits[1]) < 1e300)]
+        n = min(locations.shape[0], weights.shape[0], 100_000)
+        return locations[:n], weights[:n]
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize(
+        "name",
+        ["edges", "one atom in each part", "positive only", "negative only", "empty",
+         "ties and exponent switches", "random bits"],
+    )
+    def test_bytes_of_the_per_value_emitter(self, run, tmp_path, name, fmt):
+        locations, weights = self.atoms(name)
+        # One atom per location: np.unique takes -0.0 and 0.0 for one value, as the measure does.
+        _, first = np.unique(locations, return_index=True)
+        path = tmp_path / "atoms.csv"
+        rows = [f"{x!r},{w!r}" for x, w in zip(locations[first].tolist(), weights[first].tolist())]
+        path.write_text("\n".join(["location,weight", *rows]) + "\n", encoding="utf-8")
+        code, out, err = run(["measure", str(path), "--format", fmt])
+        assert (code, err) == (0, "")
+        # Line by line first: a failure then names the first differing line, not a diff of megabytes.
+        expected = _measure_reference(str(path), fmt)
+        assert out.splitlines() == expected.splitlines()
+        assert out == expected
 
 
 class TestResultFields:
@@ -308,6 +440,15 @@ class TestExitContract:
             code, out, err = run(argv)
             assert (code, out) == (2, "")
             assert err == "error: the total variation overflows float64\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_curve_length_is_an_input_error(self, run, tmp_path):
+        # Two falling cells, each 1.5e308 wide: their total length is wider than float64.
+        wide = tmp_path / "wide.csv"
+        wide.write_text("x,y\n-1.5e308,0\n0,-1\n1.5e308,-2\n", encoding="utf-8")
+        code, out, err = run(["compare", str(wide), "tests/fixtures/fn_tent.csv", "--relation", "SI"])
+        assert (code, out) == (2, "")
+        assert err == "error: the total length of the falling cells overflows float64\n"
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_total_weight_is_a_parameter_error(self, run):

@@ -59,6 +59,16 @@ class TestDiscreteConstruction:
         assert ATOMS.atoms == [(0.0, 2.0), (1.0, -1.0), (2.5, 0.5), (3.0, -0.25)]
         assert EMPTY.atoms == []
 
+    def test_atoms_are_pairs_of_python_floats_with_the_array_bits(self):
+        nu = DiscreteSignedMeasure([1e300, -0.0, 2.5], [1.7976931348623157e308, 5e-324, -1.5])
+        atoms = nu.atoms
+        assert atoms == [(-0.0, 5e-324), (2.5, -1.5), (1e300, 1.7976931348623157e308)]
+        assert all(type(atom) is tuple and len(atom) == 2 for atom in atoms)
+        assert all(type(v) is float for atom in atoms for v in atom)
+        assert [np.float64(v).tobytes() for atom in atoms for v in atom] == [
+            v.tobytes() for pair in zip(nu.locations, nu.weights) for v in pair
+        ]
+
     def test_duplicate_locations_rejected_after_stripping(self):
         with pytest.raises(InvalidInputError, match="duplicate atom location"):
             DiscreteSignedMeasure([1.0, 2.0, 1.0], [0.5, 1.0, 0.25])

@@ -289,6 +289,19 @@ class TestCompare:
         with pytest.raises(InvalidParameterError):
             compare(TENT, RISING_LINE, "SI")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_total_length_is_named(self):
+        # Each falling cell is 1.5e308 wide, but the two together are wider than float64.
+        f = SampledFunction([-1.5e308, 0.0, 1.5e308], [0.0, -1.0, -2.0])
+        for curve, g, kind in ((survival_minus, f, "falling"), (survival_plus, negate(f), "rising")):
+            with pytest.raises(InvalidInputError) as excinfo:
+                curve(g)
+            assert str(excinfo.value) == f"the total length of the {kind} cells overflows float64"
+        with pytest.raises(InvalidInputError, match="total length of the falling cells"):
+            compare_strict(f, TENT, "SI")
+        # f has no rising cell, so its other curve is empty.
+        assert survival_plus(f).breaks.tolist() == []
+
 
 class TestCompareStrict:
     def test_crossing_curves_fail_both_ways_with_witnesses(self):
