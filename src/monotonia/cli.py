@@ -405,7 +405,12 @@ def main(argv: list[str] | None = None) -> int:
     except (MonotoniaError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit({"command": args.command, "input": input_info, "results": results, "warnings": warnings}, fmt)
+    try:
+        _emit({"command": args.command, "input": input_info, "results": results, "warnings": warnings}, fmt)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away: the rest of the output, and the flush at exit, go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

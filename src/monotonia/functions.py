@@ -3,12 +3,12 @@
 A sampled function is interpolated linearly between its grid points; its
 derivative is then piecewise constant, and the derivative measure puts mass
 f(b) − f(a) on a cell [a, b].  Every index in this package integrates a
-transform of that derivative against cell lengths, which the
-piecewise-constant model evaluates exactly (no quadrature error at the model
-level).  A linear index (the negative part, the positive part, the
-magnitude) is therefore a sum of the parts of the increments Δy: each term
-is rounded once, where Δy is formed, and needs no lengths and no slopes.
-Only the powered indices and the survival curves use slopes.  Vertical
+part of that derivative (negative, positive or both), or a power of a part,
+against cell lengths, which the piecewise-constant model evaluates exactly
+(no quadrature error at the model level).  A linear index is therefore a
+sum of the parts of the increments Δy: each term is rounded once, where Δy
+is formed, and needs no lengths and no slopes.  Only ``loi_p`` and the
+survival curves use the widths of the cells of one sign.  Vertical
 jumps are not representable: duplicate abscissas are rejected and callers
 must pre-process data with ties.
 """
@@ -26,12 +26,8 @@ from .errors import InvalidInputError, InvalidParameterError
 
 __all__ = [
     "SampledFunction",
-    "StandardizedFunction",
     "DerivativeProfile",
-    "DerivativeTransform",
-    "standardize",
     "derivative",
-    "integrate_transform",
     "total_variation",
 ]
 
@@ -126,28 +122,6 @@ class SampledFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class StandardizedFunction:
-    """A sampled function shifted to start at the origin: domain [0, span], first ordinate 0."""
-
-    inner: SampledFunction
-
-    def __post_init__(self):
-        f = self.inner
-        if f.xs[0] != 0.0 or f.ys[0] != 0.0:
-            raise InvalidInputError("standardized function must satisfy xs[0] == 0 and ys[0] == 0")
-
-    @property
-    def span(self) -> float:
-        """Length of the domain interval; equals the right endpoint after standardization."""
-        return float(self.inner.xs[-1])
-
-    @property
-    def final_value(self) -> float:
-        """Value at the right endpoint; its magnitude is the net rise of the function."""
-        return float(self.inner.ys[-1])
-
-
-@dataclass(frozen=True, eq=False)
 class DerivativeProfile:
     """Piecewise-constant derivative: one (length, slope) pair per grid cell."""
 
@@ -188,97 +162,10 @@ class DerivativeProfile:
             return self.lengths * self.slopes
 
 
-@dataclass(frozen=True)
-class DerivativeTransform:
-    """Scalar map applied to slopes under the integral; non-negative with T(0) = 0.
-
-    Built-ins cover the negative part, positive part, absolute value, and their
-    p-th powers (p >= 1).  ``custom`` accepts any scalar callable satisfying the
-    same contract; custom transforms always run on the Python path.
-    """
-
-    code: int
-    p: float = 1.0
-    fn: Callable[[float], float] | None = field(default=None, compare=False)
-
-    _CUSTOM = -1
-
-    @classmethod
-    def neg_part(cls) -> "DerivativeTransform":
-        return cls(_backend.NEG)
-
-    @classmethod
-    def pos_part(cls) -> "DerivativeTransform":
-        return cls(_backend.POS)
-
-    @classmethod
-    def abs_value(cls) -> "DerivativeTransform":
-        return cls(_backend.ABS)
-
-    @classmethod
-    def neg_part_power(cls, p: float) -> "DerivativeTransform":
-        return cls(_backend.NEG_POW, p=cls._check_power(p))
-
-    @classmethod
-    def pos_part_power(cls, p: float) -> "DerivativeTransform":
-        return cls(_backend.POS_POW, p=cls._check_power(p))
-
-    @classmethod
-    def abs_power(cls, p: float) -> "DerivativeTransform":
-        return cls(_backend.ABS_POW, p=cls._check_power(p))
-
-    @classmethod
-    def custom(cls, fn: Callable[[float], float]) -> "DerivativeTransform":
-        value_at_zero = fn(0.0)
-        if not (isinstance(value_at_zero, (int, float)) and value_at_zero == 0):
-            raise InvalidParameterError("custom transform must map 0 to 0")
-        return cls(cls._CUSTOM, fn=fn)
-
-    @staticmethod
-    def _check_power(p) -> float:
-        p = float(p)
-        if not math.isfinite(p) or p < 1.0:
-            raise InvalidParameterError(f"power must be a finite real >= 1, got {p}")
-        return p
-
-    def __call__(self, x: float) -> float:
-        if self.code == _backend.NEG:
-            return -x if x < 0.0 else 0.0
-        if self.code == _backend.POS:
-            return x if x > 0.0 else 0.0
-        if self.code == _backend.ABS:
-            return abs(x)
-        if self.code == _backend.NEG_POW:
-            return (-x) ** self.p if x < 0.0 else 0.0
-        if self.code == _backend.POS_POW:
-            return x ** self.p if x > 0.0 else 0.0
-        if self.code == _backend.ABS_POW:
-            return abs(x) ** self.p if x != 0.0 else 0.0
-        assert self.fn is not None
-        return self.fn(x)
-
-
-def standardize(f0: SampledFunction) -> StandardizedFunction:
-    """Shift a sampled function so it starts at the origin.
-
-    The grid is translated to start at 0 and the ordinates are lifted so the
-    first one is 0; cells map one-to-one, so slopes are preserved up to
-    rounding.  Standardizing an already standardized function is an exact
-    no-op.
-    """
-    if not isinstance(f0, SampledFunction):
-        raise InvalidInputError(f"expected a SampledFunction, got {type(f0).__name__}")
-    xs = f0.xs - f0.xs[0]
-    ys = f0.ys - f0.ys[0]
-    return StandardizedFunction(SampledFunction(xs, ys))
-
-
 def _as_sampled(g) -> SampledFunction:
-    if isinstance(g, StandardizedFunction):
-        return g.inner
     if isinstance(g, SampledFunction):
         return g
-    raise InvalidInputError(f"expected a SampledFunction or StandardizedFunction, got {type(g).__name__}")
+    raise InvalidInputError(f"expected a SampledFunction, got {type(g).__name__}")
 
 
 def _cell(f: SampledFunction, i: int) -> str:
@@ -286,8 +173,8 @@ def _cell(f: SampledFunction, i: int) -> str:
     return f"cell {i} on [{float(f.xs[i])!r}, {float(f.xs[i + 1])!r}]"
 
 
-def derivative(g: StandardizedFunction | SampledFunction) -> DerivativeProfile:
-    """Cell-wise difference quotients of the samples (the standardizing shift leaves them unchanged)."""
+def derivative(g: SampledFunction) -> DerivativeProfile:
+    """Cell-wise difference quotients of the samples, with the cell widths."""
     f = _as_sampled(g)
     with np.errstate(all="ignore"):
         lengths = np.diff(f.xs)
@@ -347,26 +234,25 @@ def _signed_cells(f: SampledFunction, code: int):
 _LINEAR_SUMS = {
     _backend.NEG: "the integral of the negative part",
     _backend.POS: "the integral of the positive part",
-    _backend.ABS: "the total variation",
 }
 
 
-def _checked_sum(total: float, code: int) -> float:
-    """A linear sum, or InvalidInputError naming it where it overflows float64."""
+def _checked_sum(total: float, what: str) -> float:
+    """A linear sum, or InvalidInputError naming it (``what``) where it overflows float64."""
     if math.isinf(total):
-        raise InvalidInputError(f"{_LINEAR_SUMS[code]} overflows float64")
+        raise InvalidInputError(f"{what} overflows float64")
     return total
 
 
-def _increment_sum(g: StandardizedFunction | SampledFunction, code: int) -> float:
+def _increment_sum(g: SampledFunction, code: int) -> float:
     """The NEG or POS reduction of the increments of ``g``, as one reduction of all of them gives it."""
     total = 0.0
     for _, block in _increment_blocks(_as_sampled(g)):
         total += _backend.transform_reduce(block, code)
-    return _checked_sum(total, code)
+    return _checked_sum(total, _LINEAR_SUMS[code])
 
 
-def _increment_split(g: StandardizedFunction | SampledFunction) -> tuple[float, float, float]:
+def _increment_split(g: SampledFunction) -> tuple[float, float, float]:
     """``sign_split_sums`` of the increments of ``g``, as one call on all of them gives it."""
     neg = pos = 0.0
     for _, block in _increment_blocks(_as_sampled(g)):
@@ -376,44 +262,6 @@ def _increment_split(g: StandardizedFunction | SampledFunction) -> tuple[float, 
     return neg, pos, neg + pos
 
 
-def integrate_transform(profile: DerivativeProfile, transform: DerivativeTransform) -> float:
-    """Integrate ``transform(slope)`` against cell lengths.
-
-    Exact for the piecewise-linear model: the result is the sum of
-    ``length * transform(slope)`` over cells.  A linear built-in transform
-    (a power of 1 included) sums the parts of the cell masses
-    ``profile.masses()``, which are the increments Δy for a profile of
-    samples; a powered one sums ``length * transform(slope)``.  Built-in
-    transforms sum in NumPy blocks, within (n + 1)·u·Σ|terms| (u = 2**-53) of
-    the exact sum of the n rounded terms, plus pow's error for powers; exactly
-    where every term and partial sum is exact.  A built-in sum that overflows
-    float64 raises InvalidInputError.  Custom transforms are summed left to
-    right.
-    """
-    code, p = transform.code, transform.p
-    if code == DerivativeTransform._CUSTOM:
-        acc = 0.0
-        fn = transform.fn
-        assert fn is not None
-        for i in range(profile.slopes.shape[0]):
-            value = fn(float(profile.slopes[i]))
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0.0:
-                raise InvalidParameterError(
-                    f"custom transform returned {value!r} at slope {profile.slopes[i]!r}; "
-                    "transforms must return finite non-negative reals"
-                )
-            acc += float(profile.lengths[i]) * float(value)
-        return acc
-    if code >= _backend.NEG_POW and p == 1.0:
-        code -= _backend.NEG_POW
-    if code in _LINEAR_SUMS:
-        return _checked_sum(_backend.transform_reduce(profile.masses(), code), code)
-    total = float(_backend.transform_reduce(profile.slopes, code, p, profile.lengths))
-    if math.isinf(total):
-        raise InvalidInputError(f"the powered sum for p={p!r} overflows float64")
-    return total
-
-
-def total_variation(g: StandardizedFunction | SampledFunction) -> float:
+def total_variation(g: SampledFunction) -> float:
     """Total rise plus total fall: the integral of the absolute derivative, Σ|Δy|."""
-    return _checked_sum(_increment_split(g)[2], _backend.ABS)
+    return _checked_sum(_increment_split(g)[2], "the total variation")

@@ -19,7 +19,6 @@ from . import _backend
 from .errors import InvalidInputError, InvalidParameterError, UndefinedIndexError
 from .functions import (
     SampledFunction,
-    StandardizedFunction,
     _as_sampled,
     _cell,
     _increment_split,
@@ -46,8 +45,8 @@ class MonotonicityReport:
     """All raw and normalized indices of one function, plus interval metadata.
 
     Normalized fields are ``None`` when the function is constant (zero total
-    variation).  ``interval`` records the original sampling interval; the
-    indices themselves are invariant under the standardizing shift.
+    variation).  ``interval`` records the sampling interval; the indices do
+    not change when the function is shifted along either axis.
     """
 
     loi: float
@@ -62,17 +61,17 @@ class MonotonicityReport:
     loi_p: float | None = None
 
 
-def loi(g: StandardizedFunction | SampledFunction) -> float:
+def loi(g: SampledFunction) -> float:
     """Distance from the set of non-decreasing functions (L1, via the derivative): Σ(Δy)⁻."""
     return _increment_sum(g, _backend.NEG)
 
 
-def lod(g: StandardizedFunction | SampledFunction) -> float:
+def lod(g: SampledFunction) -> float:
     """Distance from the set of non-increasing functions: Σ(Δy)⁺."""
     return _increment_sum(g, _backend.POS)
 
 
-def lom(g: StandardizedFunction | SampledFunction) -> float:
+def lom(g: SampledFunction) -> float:
     """Twice the smaller of loi and lod; 0 exactly when the function is monotone."""
     return _indices(_increment_split(g))[2]
 
@@ -93,7 +92,7 @@ def _indices(split: tuple[float, float, float]) -> tuple:
     return neg, pos, 2.0 * min(neg, pos), tv, up, down, 2.0 * min(up, down)
 
 
-def normalized_indices(g: StandardizedFunction | SampledFunction) -> tuple[float, float, float]:
+def normalized_indices(g: SampledFunction) -> tuple[float, float, float]:
     """(loi_norm, lod_norm, lom_norm); raises UndefinedIndexError for constant functions."""
     indices = _indices(_increment_split(g))
     if indices[3] == 0.0:
@@ -101,19 +100,19 @@ def normalized_indices(g: StandardizedFunction | SampledFunction) -> tuple[float
     return indices[4:]
 
 
-def loi_norm(g: StandardizedFunction | SampledFunction) -> float:
+def loi_norm(g: SampledFunction) -> float:
     return normalized_indices(g)[0]
 
 
-def lod_norm(g: StandardizedFunction | SampledFunction) -> float:
+def lod_norm(g: SampledFunction) -> float:
     return normalized_indices(g)[1]
 
 
-def lom_norm(g: StandardizedFunction | SampledFunction) -> float:
+def lom_norm(g: SampledFunction) -> float:
     return normalized_indices(g)[2]
 
 
-def loi_p(g: StandardizedFunction | SampledFunction, p: float) -> float:
+def loi_p(g: SampledFunction, p: float) -> float:
     """Lp-distance from the non-decreasing cone: the p-norm of the derivative's negative part.
 
     Coincides with ``loi`` at p = 1.  The minimizing comparison function is the
@@ -179,7 +178,7 @@ def _scaled_loi_p(f: SampledFunction, p: float) -> float:
     return index
 
 
-def report(f0: StandardizedFunction | SampledFunction, p: float | None = None) -> MonotonicityReport:
+def report(f0: SampledFunction, p: float | None = None) -> MonotonicityReport:
     """Assemble every index of ``f0`` into one report.
 
     Raw indices are always present; normalized fields are ``None`` for

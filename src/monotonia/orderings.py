@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _backend
 from .errors import InvalidInputError, InvalidParameterError, UndefinedComparisonError
-from .functions import SampledFunction, StandardizedFunction, _as_sampled, _cell, _signed_cells, total_variation
+from .functions import SampledFunction, _as_sampled, _cell, _signed_cells, total_variation
 from .indices import MonotonicityReport, report
 
 __all__ = [
@@ -88,7 +88,7 @@ class OrderingVerdict:
     note: str | None = None
 
 
-def _curve(g: StandardizedFunction | SampledFunction, sign: str) -> SurvivalCurve:
+def _curve(g: SampledFunction, sign: str) -> SurvivalCurve:
     """The survival curve of one part of g', from the cells of that sign alone.
 
     The other cells have part 0, which makes no break and adds to no tail.
@@ -122,12 +122,12 @@ def _curve(g: StandardizedFunction | SampledFunction, sign: str) -> SurvivalCurv
     return SurvivalCurve(breaks=sorted_parts[starts], tail_lengths=tails, sign=sign, tv=tv)
 
 
-def survival_minus(g: StandardizedFunction | SampledFunction) -> SurvivalCurve:
+def survival_minus(g: SampledFunction) -> SurvivalCurve:
     """Survival curve of the derivative's negative part (time spent falling faster than z)."""
     return _curve(g, "neg")
 
 
-def survival_plus(g: StandardizedFunction | SampledFunction) -> SurvivalCurve:
+def survival_plus(g: SampledFunction) -> SurvivalCurve:
     """Survival curve of the derivative's positive part."""
     return _curve(g, "pos")
 

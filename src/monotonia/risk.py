@@ -27,7 +27,7 @@ from .errors import (
     NumericalInvariantError,
     UndefinedRatioError,
 )
-from .functions import SampledFunction, _as_float_array, _freeze
+from .functions import SampledFunction, _as_float_array, _as_sampled, _freeze
 
 __all__ = [
     "EmpiricalDistribution",
@@ -352,7 +352,7 @@ def gain_loss_report(g: SampledFunction) -> GainLossReport:
     the piecewise-linear model, so the three predicates "integral >= 0",
     "first ratio >= 1", and "second ratio >= 1/2" agree.
     """
-    pos, neg = _value_split(g)
+    pos, neg = _value_split(_as_sampled(g))
     integral = pos - neg
     return GainLossReport(*_ratios(pos, neg), integral=integral, integral_nonneg=integral >= 0.0)
 

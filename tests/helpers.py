@@ -55,6 +55,26 @@ def assert_sum_within_bound(got: float, terms: list[float], slack: float = 0.0) 
         assert abs(got - exact) <= bound, (got, exact, bound)
 
 
+def neg_part(slope: float) -> float:
+    return -slope if slope < 0.0 else 0.0
+
+
+def pos_part(slope: float) -> float:
+    return slope if slope > 0.0 else 0.0
+
+
+def cell_sum(f: SampledFunction, part, p: float = 1.0) -> float:
+    """Σ width · part(slope)**p over the cells of ``f``, left to right.
+
+    The integral of a part of f′ (or of its p-th power) on the
+    piecewise-linear model, as a plain loop over the difference quotients.
+    """
+    total = 0.0
+    for width, rise in zip(np.diff(f.xs).tolist(), np.diff(f.ys).tolist()):
+        total += width * part(rise / width) ** p
+    return total
+
+
 def _assemble(lengths: np.ndarray, slopes: np.ndarray, x0: float, y0: float) -> SampledFunction:
     xs = x0 + np.concatenate(([0.0], np.cumsum(lengths)))
     ys = y0 + np.concatenate(([0.0], np.cumsum(slopes * lengths)))

@@ -2,9 +2,9 @@
 
 Each kernel sum is checked against ``math.fsum`` of the loop's terms within
 the summation error bound, and exactly where the contract is exact: empty
-inputs, zero results, a power of 1, and the sign split against the single
-reductions.  A linear code reduces one array of signed cell masses; a
-powered code takes values and, optionally, their cell lengths.
+inputs, zero results, and the sign split against the single reductions.  A
+linear code reduces one array of signed cell masses; the powered code takes
+values and, optionally, their cell lengths.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import pytest
 from helpers import assert_sum_within_bound
 
 from monotonia import _backend
-from monotonia._backend import ABS, ABS_POW, NEG, NEG_POW, POS, POS_POW
+from monotonia._backend import NEG, NEG_POW, POS
 
-LINEAR_CODES = (NEG, POS, ABS)
-POWER_CODES = (NEG_POW, POS_POW, ABS_POW)
-ALL_CODES = LINEAR_CODES + POWER_CODES
+LINEAR_CODES = (NEG, POS)
+POWER_CODES = (NEG_POW,)
 POWERS = (1.0, 1.5, 2.0, 2.7, 3.0)
 # pow's error on a powered term: np.power was measured within 1 ulp of
 # libm's pow; 4 ulps leave a margin for other CPUs' SIMD routines.
@@ -38,8 +37,9 @@ def libm_pow(x, p):
 def reference_terms(values, code, p=1.0, lengths=None):
     """The terms of a plain loop, and the slack pow's error adds to their sum.
 
-    A linear code's terms are ``H(mass)``; a powered code's are
-    ``length * H(value)**p``, with unit lengths when ``lengths`` is None.
+    A linear code's terms are ``H(mass)``; the powered code's are
+    ``length * (−value)**p`` over the negative values, with unit lengths
+    when ``lengths`` is None.
     """
     terms = []
     slack = 0.0
@@ -51,9 +51,7 @@ def reference_terms(values, code, p=1.0, lengths=None):
         elif code == POS:
             if v > 0.0:
                 terms.append(v)
-        elif code == ABS:
-            terms.append(abs(v))
-        elif (code == NEG_POW and v < 0.0) or (code == POS_POW and v > 0.0) or (code == ABS_POW and v != 0.0):
+        elif code == NEG_POW and v < 0.0:
             power = libm_pow(abs(v), p)
             terms.append(power if unit else length * power)
             if p != 1.0:
@@ -167,7 +165,6 @@ class TestAdversarialBitwise:
             neg, pos, tv = _backend.sign_split_sums(masses)
             assert same_bits(neg, _backend.transform_reduce(masses, NEG)), name
             assert same_bits(pos, _backend.transform_reduce(masses, POS)), name
-            assert same_bits(tv, _backend.transform_reduce(masses, ABS)), name
             assert same_bits(tv, neg + pos), name
 
     def test_zero_results_are_positive_zero(self):
@@ -219,15 +216,6 @@ class TestTransformReduceParity:
                         got = _backend.transform_reduce(values, code, p, cell_lengths)
                         assert_sum_within_bound(got, terms, slack), (trial, code, p)
 
-    def test_power_one_delegates_to_linear_codes(self):
-        rng = np.random.default_rng(12)
-        _, values = random_cells(rng, 25)
-        for code in LINEAR_CODES:
-            assert same_bits(
-                _backend.transform_reduce(values, code + NEG_POW, 1.0),
-                _backend.transform_reduce(values, code),
-            )
-
     def test_empty_arrays(self):
         empty = np.empty(0, dtype=np.float64)
         for code in LINEAR_CODES:
@@ -241,8 +229,10 @@ class TestTransformReduceParity:
 
     def test_unknown_code_rejected(self):
         arr = np.array([1.0])
-        with pytest.raises(ValueError):
-            _backend.transform_reduce(arr, 99)
+        # Only the negative and positive parts, and the powers of the negative part, are reduced.
+        for code in (3, 4, 5, 99):
+            with pytest.raises(ValueError):
+                _backend.transform_reduce(arr, code, 2.0)
 
     def test_linear_codes_take_no_lengths(self):
         arr = np.array([1.0])
@@ -256,8 +246,8 @@ class TestTransformReduceParity:
         values = np.array([-1.0, 3.0])
         lengths.flags.writeable = False
         values.flags.writeable = False
-        assert _backend.transform_reduce(values, ABS) == 4.0
-        assert _backend.transform_reduce(values, POS_POW, 2.0, lengths) == 18.0
+        assert _backend.transform_reduce(values, NEG) == 1.0
+        assert _backend.transform_reduce(values, POS) == 3.0
         assert _backend.transform_reduce(values, NEG_POW, 2.0, lengths) == 1.0
         assert _backend.sign_split_sums(values) == (1.0, 3.0, 4.0)
 
@@ -268,7 +258,8 @@ class TestSignSplitParity:
         for _ in range(100):
             _, masses = random_cells(rng, int(rng.integers(1, 40)))
             neg, pos, tv = _backend.sign_split_sums(masses)
-            assert tv == _backend.transform_reduce(masses, ABS)
+            # The magnitude reduction is the negative part's plus the positive part's.
+            assert tv == _backend.transform_reduce(masses, NEG) + _backend.transform_reduce(masses, POS)
             assert neg == _backend.transform_reduce(masses, NEG)
             assert pos == _backend.transform_reduce(masses, POS)
 

@@ -525,6 +525,26 @@ class TestExitContract:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_a_reader_that_goes_away_ends_the_output_quietly(self, fmt, tmp_path):
+        # 2e4 atoms print far more than a pipe holds, so the CLI is still writing when the pipe closes.
+        rng = np.random.default_rng(6)
+        path = tmp_path / "atoms.csv"
+        atoms = np.column_stack((np.arange(20_000.0), rng.normal(size=20_000)))
+        np.savetxt(path, atoms, delimiter=",", header="location,weight", comments="")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "monotonia.cli", "measure", str(path), "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=ROOT,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
 
 class TestFormatSelection:
     def test_default_is_table(self, run):

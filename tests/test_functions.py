@@ -1,4 +1,4 @@
-"""Function model: validation, standardization, derivatives, exact integration."""
+"""Function model: validation, derivatives, and the exact integrals of the parts of f′."""
 
 import math
 import warnings
@@ -9,20 +9,29 @@ from hypothesis import given, settings
 
 from monotonia import (
     DerivativeProfile,
-    DerivativeTransform,
+    GridDensityMeasure,
     InvalidInputError,
     InvalidParameterError,
     SampledFunction,
-    StandardizedFunction,
+    _backend,
     derivative,
-    integrate_transform,
     lod,
     loi,
-    standardize,
+    loi_p,
+    lop,
     total_variation,
 )
+from monotonia._backend import NEG, NEG_POW, POS
 
-from helpers import assert_close, assert_sum_within_bound, dyadic_function, dyadic_functions
+from helpers import (
+    assert_close,
+    assert_sum_within_bound,
+    cell_sum,
+    dyadic_function,
+    dyadic_functions,
+    neg_part,
+    pos_part,
+)
 
 
 class TestSampledFunctionValidation:
@@ -86,47 +95,6 @@ class TestEvaluation:
         f = SampledFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(InvalidParameterError):
             f.restrict(-0.5, 0.5)
-
-
-class TestStandardize:
-    def test_sine_becomes_one_minus_cos(self):
-        xs = np.linspace(-math.pi / 2, math.pi, 20_001)
-        f0 = SampledFunction(xs, np.sin(xs))
-        g = standardize(f0)
-        assert g.inner.xs[0] == 0.0 and g.inner.ys[0] == 0.0
-        assert_close(g.span, 3 * math.pi / 2, rel=1e-12)
-        for x in (0.3, 1.0, 2.5, 4.0):
-            assert_close(g.inner.value_at(x), 1.0 - math.cos(x), rel=1e-6, abs_=1e-6)
-
-    def test_constant_becomes_zero_function(self):
-        f0 = SampledFunction(np.array([0.0, 0.5, 1.0]), np.array([3.0, 3.0, 3.0]))
-        g = standardize(f0)
-        assert np.all(g.inner.ys == 0.0)
-
-    def test_identity_slope_preserved(self):
-        f0 = SampledFunction(np.array([5.0, 6.0, 7.0]), np.array([5.0, 6.0, 7.0]))
-        g = standardize(f0)
-        assert np.array_equal(g.inner.xs, np.array([0.0, 1.0, 2.0]))
-        assert np.array_equal(g.inner.ys, np.array([0.0, 1.0, 2.0]))
-
-    def test_grid_cells_preserved_one_to_one(self):
-        rng = np.random.default_rng(11)
-        f0 = dyadic_function(rng)
-        g = standardize(f0)
-        assert g.inner.xs.shape == f0.xs.shape
-        assert np.array_equal(np.diff(g.inner.xs), np.diff(f0.xs))
-
-    def test_idempotent_in_effect(self):
-        rng = np.random.default_rng(12)
-        f0 = dyadic_function(rng)
-        g = standardize(f0)
-        g2 = standardize(g.inner)
-        assert np.array_equal(g.inner.xs, g2.inner.xs)
-        assert np.array_equal(g.inner.ys, g2.inner.ys)
-
-    def test_wrapper_rejects_unshifted(self):
-        with pytest.raises(InvalidInputError):
-            StandardizedFunction(SampledFunction(np.array([1.0, 2.0]), np.array([0.0, 1.0])))
 
 
 class TestDerivative:
@@ -201,64 +169,52 @@ class TestDerivative:
 
 
 class TestIntegrateTransform:
+    """The integrals of the parts of f′, and of powers of its negative part, against the cell widths."""
+
     def test_matches_direct_loop_bitwise(self):
+        # On dyadic data every term and partial sum is exact, so any summation order gives the loop's bits.
         rng = np.random.default_rng(21)
-        transforms = [
-            DerivativeTransform.neg_part(),
-            DerivativeTransform.pos_part(),
-            DerivativeTransform.abs_value(),
-            DerivativeTransform.neg_part_power(2.0),
-            DerivativeTransform.abs_power(3.0),
-        ]
         for _ in range(50):
-            profile = derivative(dyadic_function(rng, max_cells=40))
-            for tr in transforms:
-                direct = 0.0
-                for length, slope in zip(profile.lengths, profile.slopes):
-                    direct += float(length) * tr(float(slope))
-                assert integrate_transform(profile, tr) == direct
+            f = dyadic_function(rng, max_cells=40)
+            assert loi(f) == cell_sum(f, neg_part)
+            assert lod(f) == cell_sum(f, pos_part)
+            assert total_variation(f) == cell_sum(f, abs)
+            assert loi_p(f, 2.0) == cell_sum(f, neg_part, 2.0) ** 0.5
 
     def test_linear_transforms_sum_the_increments(self):
         # Non-dyadic data: length * slope would round twice, the increment once.
         rng = np.random.default_rng(5)
-        linear = {
-            DerivativeTransform.neg_part(): (DerivativeTransform.neg_part_power(1.0), loi),
-            DerivativeTransform.pos_part(): (DerivativeTransform.pos_part_power(1.0), lod),
-            DerivativeTransform.abs_value(): (DerivativeTransform.abs_power(1.0), total_variation),
-        }
         for _ in range(50):
             n = int(rng.integers(1, 100))
             f = SampledFunction(np.cumsum(rng.uniform(0.1, 3.0, n + 1)), rng.normal(size=n + 1))
-            profile = derivative(f)
-            assert profile.masses().tolist() == np.diff(f.ys).tolist()
-            for tr, (power_one, index) in linear.items():
-                value = integrate_transform(profile, tr)
-                assert value == integrate_transform(profile, power_one) == index(f)
+            masses = derivative(f).masses()
+            assert masses.tolist() == np.diff(f.ys).tolist()
+            neg, pos, tv = _backend.sign_split_sums(masses)
+            assert (neg, pos) == (_backend.transform_reduce(masses, NEG), _backend.transform_reduce(masses, POS))
+            assert (loi(f), lod(f), total_variation(f), loi_p(f, 1.0)) == (neg, pos, tv, neg)
 
     def test_profile_built_from_arrays_has_products_as_masses(self):
         profile = DerivativeProfile(np.array([2.0, 0.5]), np.array([1.5, -3.0]))
         assert profile.masses().tolist() == [3.0, -1.5]
-        assert integrate_transform(profile, DerivativeTransform.neg_part()) == 1.5
+        assert lop(GridDensityMeasure.from_derivative_profile(profile)) == 1.5
 
     def test_inexact_power_is_within_the_summation_bound(self):
         # x**1.5 of a dyadic slope is not a dyadic number, so the sum is no longer exact.
         rng = np.random.default_rng(21)
-        tr = DerivativeTransform.pos_part_power(1.5)
         for _ in range(50):
             profile = derivative(dyadic_function(rng, max_cells=40))
             terms = []
             slack = 0.0
             for length, slope in zip(profile.lengths.tolist(), profile.slopes.tolist()):
-                if slope > 0.0:
-                    terms.append(length * tr(slope))
-                    slack += length * 4.0 * math.ulp(tr(slope))
-            assert_sum_within_bound(integrate_transform(profile, tr), terms, slack)
+                if slope < 0.0:
+                    terms.append(length * (-slope) ** 1.5)
+                    slack += length * 4.0 * math.ulp((-slope) ** 1.5)
+            got = _backend.transform_reduce(profile.slopes, NEG_POW, 1.5, profile.lengths)
+            assert_sum_within_bound(got, terms, slack)
 
     def test_one_minus_cos_negative_part(self):
         xs = np.linspace(0.0, 3 * math.pi / 2, 100_000)
-        profile = derivative(SampledFunction(xs, 1.0 - np.cos(xs)))
-        value = integrate_transform(profile, DerivativeTransform.neg_part())
-        assert abs(value - 1.0) < 1e-3
+        assert abs(loi(SampledFunction(xs, 1.0 - np.cos(xs))) - 1.0) < 1e-3
 
     def test_total_variation_of_one_minus_cos(self):
         xs = np.linspace(0.0, 3 * math.pi / 2, 100_000)
@@ -267,55 +223,21 @@ class TestIntegrateTransform:
 
     def test_zero_function(self):
         g = SampledFunction(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-        for tr in (DerivativeTransform.neg_part(), DerivativeTransform.abs_power(2.0)):
-            assert integrate_transform(derivative(g), tr) == 0.0
-
-    def test_custom_transform(self):
-        square = DerivativeTransform.custom(lambda s: s * s)
-        profile = DerivativeProfile(np.array([2.0, 1.0]), np.array([1.0, -3.0]))
-        assert integrate_transform(profile, square) == 2.0 * 1.0 + 1.0 * 9.0
-
-    def test_custom_transform_must_fix_zero(self):
-        with pytest.raises(InvalidParameterError):
-            DerivativeTransform.custom(lambda s: s + 1.0)
-
-    def test_custom_transform_output_validated(self):
-        bad = DerivativeTransform.custom(lambda s: -abs(s))
-        profile = DerivativeProfile(np.array([1.0]), np.array([2.0]))
-        with pytest.raises(InvalidParameterError):
-            integrate_transform(profile, bad)
-
-    @pytest.mark.parametrize(
-        "transform",
-        [
-            DerivativeTransform.neg_part_power(400.0),
-            DerivativeTransform.pos_part_power(400.0),
-            DerivativeTransform.abs_power(400.0),
-        ],
-    )
-    def test_powered_overflow_names_p(self, transform):
-        profile = derivative(SampledFunction([0.0, 1.0, 2.0], [0.0, -10.0, 10.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError) as excinfo:
-                integrate_transform(profile, transform)
-        assert str(excinfo.value) == "the powered sum for p=400.0 overflows float64"
+        assert (loi(g), total_variation(g), loi_p(g, 2.0)) == (0.0, 0.0, 0.0)
 
     def test_power_validation(self):
+        f = SampledFunction(np.array([0.0, 1.0]), np.array([0.0, -1.0]))
         with pytest.raises(InvalidParameterError):
-            DerivativeTransform.neg_part_power(0.5)
+            loi_p(f, 0.5)
         with pytest.raises(InvalidParameterError):
-            DerivativeTransform.abs_power(math.inf)
+            loi_p(f, math.inf)
 
 
 class TestModelInvariants:
     @given(dyadic_functions())
     @settings(max_examples=200, deadline=None)
     def test_additivity_of_parts(self, f):
-        profile = derivative(f)
-        neg = integrate_transform(profile, DerivativeTransform.neg_part())
-        pos = integrate_transform(profile, DerivativeTransform.pos_part())
-        assert_close(neg + pos, total_variation(f), rel=1e-12)
+        assert_close(cell_sum(f, neg_part) + cell_sum(f, pos_part), total_variation(f), rel=1e-12)
 
     def test_total_variation_simple_cases(self):
         line = SampledFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -328,8 +250,7 @@ class TestModelInvariants:
         # itself is not monotone (a grid point can land exactly on the peak).
         def neg_at(n: int) -> float:
             xs = np.linspace(0.0, 3 * math.pi / 2, n)
-            profile = derivative(SampledFunction(xs, 1.0 - np.cos(xs)))
-            return integrate_transform(profile, DerivativeTransform.neg_part())
+            return loi(SampledFunction(xs, 1.0 - np.cos(xs)))
 
         for n in (2_000, 4_000, 8_000):
             assert abs(neg_at(n) - neg_at(2 * n)) < 1.0 / n

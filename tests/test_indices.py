@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monotonia import (
-    DerivativeTransform,
     GridDensityMeasure,
     InvalidInputError,
     InvalidParameterError,
     SampledFunction,
     UndefinedIndexError,
     derivative,
-    integrate_transform,
     loi,
     loi_norm,
     loi_p,
@@ -54,7 +52,6 @@ CONST = SampledFunction(np.array([0.0, 1.0]), np.array([2.0, 2.0]))
 
 
 BLOCK = _backend.BLOCK
-LINEAR = (DerivativeTransform.neg_part(), DerivativeTransform.pos_part(), DerivativeTransform.abs_value())
 
 
 def random_walk(rng: np.random.Generator, n: int) -> SampledFunction:
@@ -328,10 +325,13 @@ class TestIncrements:
             rep = report(f, p=2.5)
             singles = (loi(f), lod(f), total_variation(f), lom(f))
             assert bits(rep.loi, rep.lod, rep.tv, rep.lom) == bits(*singles)
-            assert bits(*(integrate_transform(profile, tr) for tr in LINEAR)) == bits(*singles[:3])
+            masses = profile.masses()
+            linear = (_backend.transform_reduce(masses, _backend.NEG), _backend.transform_reduce(masses, _backend.POS))
+            assert bits(*linear, _backend.sign_split_sums(masses)[2]) == bits(*singles[:3])
             nu = GridDensityMeasure.from_derivative_profile(profile)
             assert bits(lop(nu), lon(nu), los(nu), nu.total_variation()) == bits(*singles[:2], singles[3], singles[2])
-            powered = integrate_transform(profile, DerivativeTransform.neg_part_power(2.5)) ** (1.0 / 2.5)
+            total = _backend.transform_reduce(profile.slopes, _backend.NEG_POW, 2.5, profile.lengths)
+            powered = total ** (1.0 / 2.5)
             assert bits(rep.loi_p, loi_p(f, 2.5)) == bits(powered, powered)
 
     def test_subnormal_cell_width_leaves_the_linear_indices_exact(self):
@@ -365,7 +365,8 @@ class TestLpFromFallingCells:
         for _ in range(100):
             f = random_walk(rng, int(rng.integers(1, 300)))
             for p in (1.5, 2.0, 3.0, 7.25):
-                total = integrate_transform(derivative(f), DerivativeTransform.neg_part_power(p))
+                profile = derivative(f)
+                total = _backend.transform_reduce(profile.slopes, _backend.NEG_POW, p, profile.lengths)
                 assert bits(loi_p(f, p)) == bits(total ** (1.0 / p))
 
     def test_overflowing_powers_are_scaled(self):

@@ -22,7 +22,6 @@ from monotonia import (
     loi_norm,
     lod,
     lod_norm,
-    standardize,
     survival_minus,
     survival_plus,
     total_variation,
@@ -115,8 +114,9 @@ class TestSurvivalCurveShape:
             curve.value(np.array([0.5, -1.0]))
 
     def test_standardized_input_gives_identical_curve(self):
-        raw = survival_minus(TENT)
-        std = survival_minus(standardize(TENT))
+        # TENT starts at the origin; the same tent shifted along both axes (exactly) has the same curve.
+        raw = survival_minus(SampledFunction(TENT.xs + 2.5, TENT.ys - 4.0))
+        std = survival_minus(TENT)
         assert raw.breaks.tolist() == std.breaks.tolist()
         assert raw.tail_lengths.tolist() == std.tail_lengths.tolist()
         assert raw.tv == std.tv
@@ -179,9 +179,8 @@ class TestCurveFromSignedCells:
         rng = np.random.default_rng(4242)
         for n in (1, 2, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
             for f in tied_walks(rng, n):
-                for g in (f, standardize(f)):
-                    for sign, survival in (("neg", survival_minus), ("pos", survival_plus)):
-                        assert curve_bits(survival(g)) == curve_bits(reference_curve(g, sign)), (n, sign)
+                for sign, survival in (("neg", survival_minus), ("pos", survival_plus)):
+                    assert curve_bits(survival(f)) == curve_bits(reference_curve(f, sign)), (n, sign)
 
     def test_strict_verdicts_match_the_whole_profile(self):
         rng = np.random.default_rng(4343)

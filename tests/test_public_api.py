@@ -1,5 +1,7 @@
 """The package namespace: each module declares its public names once, in its ``__all__``."""
 
+import pytest
+
 import monotonia
 
 PUBLIC = {
@@ -15,12 +17,8 @@ PUBLIC = {
     "NumericalInvariantError",
     # functions
     "SampledFunction",
-    "StandardizedFunction",
     "DerivativeProfile",
-    "DerivativeTransform",
-    "standardize",
     "derivative",
-    "integrate_transform",
     "total_variation",
     # indices
     "MonotonicityReport",
@@ -71,8 +69,28 @@ PUBLIC = {
 
 
 def test_the_public_names_are_pinned_and_declared_once():
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 54
     assert set(monotonia.__all__) == PUBLIC
     assert len(monotonia.__all__) == len(PUBLIC)
     for name in PUBLIC:
         getattr(monotonia, name)
+
+
+F = monotonia.SampledFunction([0.0, 1.0], [0.0, 1.0])
+# The public functions of one sampled function, and the arguments they take after it.
+ONE_ARGUMENT = (
+    "loi", "lod", "lom", "total_variation", "normalized_indices", "report", "derivative",
+    "survival_minus", "survival_plus", "gain_loss_report", "gain_loss",
+)
+OF_A_FUNCTION = {
+    **{name: () for name in ONE_ARGUMENT},
+    "loi_p": (2.0,),
+    "compare": (F, "I"),
+    "compare_strict": (F, "SI"),
+}
+
+
+@pytest.mark.parametrize("name", OF_A_FUNCTION)
+def test_anything_but_a_sampled_function_is_rejected_by_type(name):
+    with pytest.raises(monotonia.InvalidInputError, match=r"^expected a SampledFunction, got list$"):
+        getattr(monotonia, name)([0.0, 1.0], *OF_A_FUNCTION[name])
