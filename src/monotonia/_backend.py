@@ -42,8 +42,8 @@ NEG_POW = 2
 
 # Every reduction runs over blocks of this many cells of its input, summing
 # each block with NumPy and adding the block sums left to right, so that its
-# temporaries stay small and in cache whatever the size of the input.  A
-# caller that reduces block by block on the same boundaries gets the same bits.
+# temporaries stay small and in cache whatever the size of the input.  No
+# other module blocks: each passes the whole array of its cells.
 BLOCK = 1 << 16
 
 

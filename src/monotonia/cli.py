@@ -146,7 +146,8 @@ def _load_function(path: str) -> SampledFunction:
         raise InvalidInputError(f"{path}: need at least 2 data rows")
     order = np.argsort(table[:, 0], kind="stable")
     xs = table[order, 0]
-    dup = np.flatnonzero(np.diff(xs) == 0.0)
+    # Compared, not differenced: a difference of finite abscissas can overflow.
+    dup = np.flatnonzero(xs[1:] == xs[:-1])
     if dup.size:
         i = dup[0]
         raise InvalidInputError(

@@ -8,7 +8,8 @@ against cell lengths, which the piecewise-constant model evaluates exactly
 (no quadrature error at the model level).  A linear index is therefore a
 sum of the parts of the increments Δy: each term is rounded once, where Δy
 is formed, and needs no lengths and no slopes.  Only ``loi_p`` and the
-survival curves use the widths of the cells of one sign.  Vertical
+survival curves use cell widths; ``measures.derivative`` gives df itself
+as a grid measure, with the increments as its masses.  Vertical
 jumps are not representable: duplicate abscissas are rejected and callers
 must pre-process data with ties.
 """
@@ -16,7 +17,7 @@ must pre-process data with ties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,8 +27,6 @@ from .errors import InvalidInputError, InvalidParameterError
 
 __all__ = [
     "SampledFunction",
-    "DerivativeProfile",
-    "derivative",
     "total_variation",
 ]
 
@@ -121,47 +120,6 @@ class SampledFunction:
         return SampledFunction(xs, ys)
 
 
-@dataclass(frozen=True, eq=False)
-class DerivativeProfile:
-    """Piecewise-constant derivative: one (length, slope) pair per grid cell."""
-
-    lengths: np.ndarray
-    slopes: np.ndarray
-    # The ordinates of the samples ``derivative`` took the slopes from, if it did.
-    _ys: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        lengths = _as_float_array(self.lengths, "lengths")
-        slopes = _as_float_array(self.slopes, "slopes")
-        if lengths.shape[0] != slopes.shape[0]:
-            raise InvalidInputError("lengths and slopes must have equal length")
-        if lengths.shape[0] == 0:
-            raise InvalidInputError("profile needs at least one cell")
-        if np.any(lengths <= 0.0):
-            raise InvalidInputError("cell lengths must be positive")
-        object.__setattr__(self, "lengths", _freeze(lengths))
-        object.__setattr__(self, "slopes", _freeze(slopes))
-
-    @property
-    def span(self) -> float:
-        with np.errstate(over="ignore"):
-            span = float(np.sum(self.lengths))
-        if math.isinf(span):
-            raise InvalidInputError("the total length of the cells overflows float64")
-        return span
-
-    def masses(self) -> np.ndarray:
-        """The signed mass of each cell, g(b) − g(a).
-
-        For a profile that ``derivative`` built these are the increments of
-        its samples, each rounded once; for one built from arrays, lengths·slopes.
-        """
-        with np.errstate(over="ignore"):
-            if self._ys is not None:
-                return np.diff(self._ys)
-            return self.lengths * self.slopes
-
-
 def _as_sampled(g) -> SampledFunction:
     if isinstance(g, SampledFunction):
         return g
@@ -173,62 +131,26 @@ def _cell(f: SampledFunction, i: int) -> str:
     return f"cell {i} on [{float(f.xs[i])!r}, {float(f.xs[i + 1])!r}]"
 
 
-def derivative(g: SampledFunction) -> DerivativeProfile:
-    """Cell-wise difference quotients of the samples, with the cell widths."""
-    f = _as_sampled(g)
-    with np.errstate(all="ignore"):
-        lengths = np.diff(f.xs)
-        slopes = np.diff(f.ys)
-        np.divide(slopes, lengths, out=slopes)
-    # Nothing else holds these fresh arrays, so the profile may keep them as they are.
-    lengths.flags.writeable = False
-    slopes.flags.writeable = False
-    try:
-        profile = DerivativeProfile(lengths, slopes)
-    except InvalidInputError:
-        # Cells of valid samples have positive length: only an overflow leaves one non-finite.
-        i = int(np.argmin(np.isfinite(lengths) & np.isfinite(slopes)))
-        raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64") from None
-    object.__setattr__(profile, "_ys", f.ys)
-    return profile
+def _increments(g: SampledFunction) -> np.ndarray:
+    """The increments f(b) − f(a) of ``g``: the masses of dg, whose parts the linear indices sum."""
+    with np.errstate(over="ignore"):
+        return np.diff(_as_sampled(g).ys)
 
 
-def _increment_blocks(f: SampledFunction):
-    """(first cell, increments) of ``f`` over blocks of ``_backend.BLOCK`` cells.
-
-    The increments f(b) − f(a) are the masses of df, whose parts the linear
-    indices sum.  Each block is written over the one before, so they never
-    exist all at once, and an index allocates nothing the size of the samples.
-    """
-    ys = f.ys
-    n = ys.shape[0] - 1
-    buf = np.empty(min(_backend.BLOCK, n))
-    for start in range(0, n, _backend.BLOCK):
-        block = buf[: min(_backend.BLOCK, n - start)]
-        with np.errstate(over="ignore"):
-            np.subtract(ys[start + 1 : start + 1 + block.shape[0]], ys[start : start + block.shape[0]], out=block)
-        yield start, block
-
-
-def _signed_cells(f: SampledFunction, code: int):
-    """(first cell, cells, their widths, their increments) of one sign of ``f``, block by block.
+def _signed_cells(f: SampledFunction, code: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, their widths, their increments) of one sign of ``f``.
 
     ``code`` is ``_backend.NEG`` for the falling cells (Δy < 0) or
-    ``_backend.POS`` for the rising ones (Δy > 0); the cells are numbered
-    from the first cell of their block.  Only these cells carry the negative
-    or positive part of df, so the powered indices and the survival curves
-    take their widths and quotients from here.  The widths and increments
-    are fresh arrays, which the caller may overwrite.
+    ``_backend.POS`` for the rising ones (Δy > 0).  Only these cells carry
+    the negative or positive part of df, so the scaled ``loi_p`` and the
+    survival curves take their widths and increments from here.  The widths
+    and increments are fresh arrays, which the caller may overwrite.
     """
-    xs = f.xs
-    select = np.less if code == _backend.NEG else np.greater
-    buf = np.empty(min(_backend.BLOCK, xs.shape[0] - 1))
-    for start, increments in _increment_blocks(f):
-        widths = buf[: increments.shape[0]]
-        with np.errstate(over="ignore"):
-            np.subtract(xs[start + 1 : start + 1 + widths.shape[0]], xs[start : start + widths.shape[0]], out=widths)
-        cells = np.flatnonzero(select(increments, 0.0))
-        yield start, cells, widths[cells], increments[cells]
+    increments = _increments(f)
+    cells = np.flatnonzero(increments < 0.0 if code == _backend.NEG else increments > 0.0)
+    with np.errstate(over="ignore"):
+        widths = f.xs[cells + 1] - f.xs[cells]
+    return cells, widths, increments[cells]
 
 
 _LINEAR_SUMS = {
@@ -245,21 +167,13 @@ def _checked_sum(total: float, what: str) -> float:
 
 
 def _increment_sum(g: SampledFunction, code: int) -> float:
-    """The NEG or POS reduction of the increments of ``g``, as one reduction of all of them gives it."""
-    total = 0.0
-    for _, block in _increment_blocks(_as_sampled(g)):
-        total += _backend.transform_reduce(block, code)
-    return _checked_sum(total, _LINEAR_SUMS[code])
+    """The NEG or POS reduction of the increments of ``g``."""
+    return _checked_sum(_backend.transform_reduce(_increments(g), code), _LINEAR_SUMS[code])
 
 
 def _increment_split(g: SampledFunction) -> tuple[float, float, float]:
-    """``sign_split_sums`` of the increments of ``g``, as one call on all of them gives it."""
-    neg = pos = 0.0
-    for _, block in _increment_blocks(_as_sampled(g)):
-        block_neg, block_pos, _ = _backend.sign_split_sums(block)
-        neg += block_neg
-        pos += block_pos
-    return neg, pos, neg + pos
+    """``sign_split_sums`` of the increments of ``g``."""
+    return _backend.sign_split_sums(_increments(g))
 
 
 def total_variation(g: SampledFunction) -> float:

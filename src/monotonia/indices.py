@@ -122,25 +122,25 @@ def loi_p(g: SampledFunction, p: float) -> float:
 
 
 def _loi_p(f: SampledFunction, p: float) -> float:
-    """``loi_p`` of ``f``, from the widths and increments of its falling cells."""
+    """``loi_p`` of ``f``, from the difference quotients and widths of its cells."""
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise InvalidParameterError(f"p must be a finite real >= 1, got {p}")
     if p == 1.0:
         return _increment_sum(f, _backend.NEG)
-    total = 0.0
-    falls = False
-    for _, falling, widths, slopes in _signed_cells(f, _backend.NEG):
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            np.divide(slopes, widths, out=slopes)
-        # A quotient or width that overflows makes this sum inf or the floor below
-        # inf, and so takes the scaled path, which forms no quotient.
-        total += _backend.transform_reduce(slopes, _backend.NEG_POW, p, widths)
-        falls = falls or falling.shape[0] > 0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        widths = np.diff(f.xs)
+        quotients = np.diff(f.ys)
+        np.divide(quotients, widths, out=quotients)
+    # The kernel drops the quotients of rising cells, inf and NaN included,
+    # which are not negative.  A quotient or width that overflows makes this
+    # sum inf or the floor below inf, and so takes the scaled path, which
+    # forms no quotient.
+    total = _backend.transform_reduce(quotients, _backend.NEG_POW, p, widths)
     # A term whose power or product underflows loses at most (length + 1)·2**-1075,
     # so a sum of at least (span + n)·2**-1022 is within u of one that lost nothing.
     floor = (float(f.xs[-1]) - float(f.xs[0]) + (f.xs.shape[0] - 1)) * sys.float_info.min
-    if math.isinf(total) or (falls and total < floor):
+    if math.isinf(total) or (total < floor and np.any(f.ys[1:] < f.ys[:-1])):
         return _scaled_loi_p(f, p)
     return total ** (1.0 / p)
 
@@ -154,25 +154,19 @@ def _scaled_loi_p(f: SampledFunction, p: float) -> float:
     quotient is formed, so a sub-normal width cannot overflow a term of a
     finite index.
     """
-
-    def terms():
-        for start, falling, widths, increments in _signed_cells(f, _backend.NEG):
-            for what, values in (("width", widths), ("increment", increments)):
-                if np.isinf(values).any():
-                    i = start + int(falling[np.argmax(np.isinf(values))])
-                    raise InvalidInputError(f"the {what} of {_cell(f, i)} overflows float64")
-            with np.errstate(over="ignore", under="ignore"):
-                yield increments / np.power(widths, 1.0 - 1.0 / p)
-
-    scale = max(-float(t.min()) for t in terms() if t.shape[0])
+    falling, widths, increments = _signed_cells(f, _backend.NEG)
+    for what, values in (("width", widths), ("increment", increments)):
+        if np.isinf(values).any():
+            i = int(falling[np.argmax(np.isinf(values))])
+            raise InvalidInputError(f"the {what} of {_cell(f, i)} overflows float64")
+    with np.errstate(over="ignore", under="ignore"):
+        terms = increments / np.power(widths, 1.0 - 1.0 / p)
+    scale = -float(terms.min())
     if math.isinf(scale):
         raise InvalidInputError(f"loi_p for p={p!r} overflows float64")
     if scale == 0.0:
         raise InvalidInputError(f"loi_p for p={p!r} underflows float64")
-    total = 0.0
-    for t in terms():
-        total += _backend.transform_reduce(t / scale, _backend.NEG_POW, p)
-    index = scale * total ** (1.0 / p)
+    index = scale * _backend.transform_reduce(terms / scale, _backend.NEG_POW, p) ** (1.0 / p)
     if math.isinf(index):
         raise InvalidInputError(f"loi_p for p={p!r} overflows float64")
     return index

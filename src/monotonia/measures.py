@@ -6,8 +6,8 @@ cells.  A mixed measure is the formal sum of one of each; its indices are the
 componentwise sums.  The positivity indices mirror the monotonicity indices:
 lop measures the total mass that must be added to make the measure positive,
 lon the mass to remove to make it negative, and los twice the smaller of the
-two.  The grid representation is the bridge to functions: the measure with
-density g' recovers the function-level indices exactly.
+two.  The grid representation is the bridge to functions: ``derivative(g)``,
+the measure dg with density g', recovers the function-level indices exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _backend
 from .errors import InvalidInputError, UndefinedIndexError
-from .functions import DerivativeProfile, _as_float_array, _freeze
+from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _freeze
 from .indices import _indices
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "MixedSignedMeasure",
     "JordanPair",
     "PositivityReport",
+    "derivative",
     "jordan",
     "positivity_report",
     "lop",
@@ -65,7 +66,8 @@ class DiscreteSignedMeasure:
         locations = locations[order]
         weights = weights[order]
         if locations.shape[0] > 1:
-            dup = np.nonzero(np.diff(locations) == 0.0)[0]
+            # Compared, not differenced: a difference of finite locations can overflow.
+            dup = np.flatnonzero(locations[1:] == locations[:-1])
             if dup.size:
                 raise InvalidInputError(
                     f"duplicate atom location {float(locations[dup[0]])!r}; merge weights first"
@@ -97,8 +99,8 @@ class GridDensityMeasure:
 
     The measure of cell i, ``masses[i]``, is lengths[i] * densities[i]; zero
     densities are kept (the cell is part of the space, carrying no mass).
-    The measure of a derivative profile of samples carries their increments
-    as masses, so its indices are the function's bit for bit.
+    ``derivative(g)`` carries the increments of g's samples as its masses
+    instead, so its indices are g's bit for bit.
     """
 
     lengths: np.ndarray
@@ -122,9 +124,14 @@ class GridDensityMeasure:
             object.__setattr__(self, "masses", _freeze(lengths * densities))
 
     @classmethod
-    def from_derivative_profile(cls, profile: DerivativeProfile) -> "GridDensityMeasure":
-        """The measure with density g' against Lebesgue measure on the cells of g: mass g(b) − g(a) on [a, b]."""
-        return cls._of(profile.lengths, profile.slopes, profile.masses())
+    def from_derivative_profile(cls, nu: "GridDensityMeasure") -> "GridDensityMeasure":
+        """``nu`` itself: ``derivative(g)`` is already the measure dg.
+
+        Kept only for the benchmark workload that still calls
+        ``from_derivative_profile(derivative(f))``; it goes when that
+        workload calls ``derivative(f)`` alone (ROADMAP item 4).
+        """
+        return nu
 
     @classmethod
     def _of(cls, lengths: np.ndarray, densities: np.ndarray, masses: np.ndarray) -> "GridDensityMeasure":
@@ -137,6 +144,21 @@ class GridDensityMeasure:
 
     def total_variation(self) -> float:
         return positivity_report(self).tv
+
+
+def derivative(g: SampledFunction) -> GridDensityMeasure:
+    """The derivative measure dg: density g' = Δy/Δx on the cells of g, mass Δy = g(b) − g(a) on [a, b]."""
+    f = _as_sampled(g)
+    with np.errstate(all="ignore"):
+        lengths = np.diff(f.xs)
+        masses = np.diff(f.ys)
+        densities = masses / lengths
+    finite = np.isfinite(lengths) & np.isfinite(densities)
+    if not finite.all():
+        # Cells of valid samples have positive length: only an overflow leaves one non-finite.
+        i = int(np.argmin(finite))
+        raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64")
+    return GridDensityMeasure._of(lengths, densities, masses)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,7 +54,8 @@ class SurvivalCurve:
     def value(self, z):
         """Evaluate the curve at z >= 0 (scalar or array)."""
         z_arr = np.asarray(z, dtype=np.float64)
-        if np.any(z_arr < 0.0):
+        # Written so that NaN, which compares false, is rejected too.
+        if not np.all(z_arr >= 0.0):
             raise InvalidParameterError("survival curves are defined for thresholds z >= 0")
         if self.breaks.shape[0] == 0:
             out = np.zeros_like(z_arr)
@@ -94,17 +95,13 @@ def _curve(g: SampledFunction, sign: str) -> SurvivalCurve:
     The other cells have part 0, which makes no break and adds to no tail.
     """
     f = _as_sampled(g)
-    width_blocks, part_blocks = [], []
-    for start, cells, widths, increments in _signed_cells(f, _backend.NEG if sign == "neg" else _backend.POS):
-        with np.errstate(all="ignore"):
-            quotients = np.divide(np.abs(increments, out=increments), widths, out=increments)
-        finite = np.isfinite(widths) & np.isfinite(quotients)
-        if not finite.all():
-            i = start + int(cells[np.argmin(finite)])
-            raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64")
-        width_blocks.append(widths)
-        part_blocks.append(quotients)
-    lengths, parts = np.concatenate(width_blocks), np.concatenate(part_blocks)
+    cells, lengths, parts = _signed_cells(f, _backend.NEG if sign == "neg" else _backend.POS)
+    with np.errstate(all="ignore"):
+        np.divide(np.abs(parts, out=parts), lengths, out=parts)
+    finite = np.isfinite(lengths) & np.isfinite(parts)
+    if not finite.all():
+        i = int(cells[np.argmin(finite)])
+        raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64")
     tv = total_variation(f)
     # Stable: tied parts keep the order of their cells, and so their tails add in that order.
     order = np.argsort(parts, kind="stable")

@@ -298,35 +298,56 @@ def _value_split(g: SampledFunction) -> tuple[float, float]:
     """Exact integrals of the positive and negative parts of the values of g.
 
     Cells where the sign changes are split at the interpolated root, so both
-    areas are exact for the piecewise-linear model.
+    areas are exact for the piecewise-linear model.  A cell whose width, or
+    whose a + b or a − b, overflows is computed from halved widths or values,
+    which cannot, and its parts are doubled back.  Raises where the integral
+    of a part itself overflows float64.
     """
-    a = g.ys[:-1]
-    b = g.ys[1:]
-    h = np.diff(g.xs)
+    xs, a, b = g.xs, g.ys[:-1], g.ys[1:]
+    with np.errstate(over="ignore"):
+        h = np.diff(xs)
+        wide = np.isinf(h)
+        tall = np.isinf(np.abs(a) + np.abs(b))
+    scale = 1.0
+    if wide.any() or tall.any():
+        h = np.where(wide, 0.5 * xs[1:] - 0.5 * xs[:-1], h)
+        a = np.where(tall, 0.5 * a, a)
+        b = np.where(tall, 0.5 * b, b)
+        scale = np.where(wide, 2.0, 1.0) * np.where(tall, 2.0, 1.0)
     pos = np.zeros_like(h)
     neg = np.zeros_like(h)
 
     both_pos = (a >= 0.0) & (b >= 0.0)
     both_neg = (a <= 0.0) & (b <= 0.0)
-    pos[both_pos] = 0.5 * h[both_pos] * (a[both_pos] + b[both_pos])
-    neg[both_neg] = -0.5 * h[both_neg] * (a[both_neg] + b[both_neg])
+    # Only a part that exceeds float64 overflows here; its sum then raises below.
+    with np.errstate(over="ignore"):
+        pos[both_pos] = 0.5 * h[both_pos] * (a[both_pos] + b[both_pos])
+        neg[both_neg] = -0.5 * h[both_neg] * (a[both_neg] + b[both_neg])
 
-    crossing = ~(both_pos | both_neg)
-    if np.any(crossing):
-        ac, bc, hc = a[crossing], b[crossing], h[crossing]
-        t = ac / (ac - bc)
-        first = 0.5 * hc * t * ac
-        second = 0.5 * hc * (1.0 - t) * bc
-        pos[crossing] = np.where(ac > 0.0, first, second)
-        neg[crossing] = np.where(ac > 0.0, -second, -first)
-    return float(np.sum(pos)), float(np.sum(neg))
+        crossing = ~(both_pos | both_neg)
+        if np.any(crossing):
+            ac, bc, hc = a[crossing], b[crossing], h[crossing]
+            t = ac / (ac - bc)
+            first = 0.5 * hc * t * ac
+            second = 0.5 * hc * (1.0 - t) * bc
+            pos[crossing] = np.where(ac > 0.0, first, second)
+            neg[crossing] = np.where(ac > 0.0, -second, -first)
+        totals = float(np.sum(pos * scale)), float(np.sum(neg * scale))
+    for part, total in zip(("positive", "negative"), totals):
+        if math.isinf(total):
+            raise InvalidInputError(f"the integral of the {part} part of g overflows float64")
+    return totals
 
 
 def _ratios(pos: float, neg: float) -> tuple[float, float]:
     if pos == 0.0 and neg == 0.0:
         raise UndefinedRatioError("both the positive and negative parts integrate to zero")
     glr = math.inf if neg == 0.0 else pos / neg
-    return glr, pos / (pos + neg)
+    total = pos + neg
+    if math.isinf(total):
+        # Where the sum overflows, halving the larger part is exact.
+        return glr, (0.5 * pos) / (0.5 * pos + 0.5 * neg)
+    return glr, pos / total
 
 
 @dataclass(frozen=True)

@@ -441,6 +441,29 @@ class TestExitContract:
             assert (code, out) == (2, "")
             assert err == "error: the total variation overflows float64\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_glr_at_the_top_of_float64_prints_the_true_values(self, run, tmp_path):
+        # a − b overflows in the one cell, which crosses zero at its middle.
+        edge = tmp_path / "edge.csv"
+        edge.write_text("t,value\n0,1e308\n1,-1e308\n", encoding="utf-8")
+        code, out, err = run(["glr", str(edge)])
+        assert (code, err) == (0, "")
+        assert out.endswith("glr: 1\nomega_style: 0.5\nintegral: 0\nintegral_nonneg: yes\n")
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["indices"], "x,y\n-1e308,0\n1e308,1\n"),
+            (["measure"], "location,weight\n-1e308,1\n1e308,-1\n"),
+        ],
+    )
+    def test_duplicate_checks_at_the_top_of_float64_print_no_warning(self, tmp_path, argv, text):
+        # A subprocess: a RuntimeWarning from NumPy would go to its stderr.
+        path = tmp_path / "far.csv"
+        path.write_text(text, encoding="utf-8")
+        proc = run_subprocess([*argv, str(path)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_curve_length_is_an_input_error(self, run, tmp_path):
         # Two falling cells, each 1.5e308 wide: their total length is wider than float64.

@@ -316,8 +316,8 @@ class TestIncrements:
             assert rep.loi + rep.lod == rep.tv
 
     def test_identities_hold_across_block_boundaries(self):
-        # The indices reduce the increments block by block; the kernels, given
-        # all of them at once, reduce the same blocks and must give the same bits.
+        # The indices, the derivative measure and loi_p each pass all their cells
+        # to one kernel call, which sums them over the same blocks: same bits.
         rng = np.random.default_rng(909)
         for n in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
             f = random_walk(rng, n)
@@ -325,12 +325,12 @@ class TestIncrements:
             rep = report(f, p=2.5)
             singles = (loi(f), lod(f), total_variation(f), lom(f))
             assert bits(rep.loi, rep.lod, rep.tv, rep.lom) == bits(*singles)
-            masses = profile.masses()
+            masses = profile.masses
             linear = (_backend.transform_reduce(masses, _backend.NEG), _backend.transform_reduce(masses, _backend.POS))
             assert bits(*linear, _backend.sign_split_sums(masses)[2]) == bits(*singles[:3])
             nu = GridDensityMeasure.from_derivative_profile(profile)
             assert bits(lop(nu), lon(nu), los(nu), nu.total_variation()) == bits(*singles[:2], singles[3], singles[2])
-            total = _backend.transform_reduce(profile.slopes, _backend.NEG_POW, 2.5, profile.lengths)
+            total = _backend.transform_reduce(profile.densities, _backend.NEG_POW, 2.5, profile.lengths)
             powered = total ** (1.0 / 2.5)
             assert bits(rep.loi_p, loi_p(f, 2.5)) == bits(powered, powered)
 
@@ -366,7 +366,7 @@ class TestLpFromFallingCells:
             f = random_walk(rng, int(rng.integers(1, 300)))
             for p in (1.5, 2.0, 3.0, 7.25):
                 profile = derivative(f)
-                total = _backend.transform_reduce(profile.slopes, _backend.NEG_POW, p, profile.lengths)
+                total = _backend.transform_reduce(profile.densities, _backend.NEG_POW, p, profile.lengths)
                 assert bits(loi_p(f, p)) == bits(total ** (1.0 / p))
 
     def test_overflowing_powers_are_scaled(self):

@@ -279,7 +279,7 @@ class TestPositivityReport:
             yield random_grid(rng)
             yield MixedSignedMeasure(random_discrete(rng, allow_empty=True), random_grid(rng))
             f = continuous_function(rng)
-            yield GridDensityMeasure.from_derivative_profile(derivative(f))
+            yield derivative(f)
         yield ATOMS
         yield GRID
 
@@ -305,7 +305,7 @@ class TestFunctionBridge:
     @given(dyadic_functions())
     @settings(max_examples=150, deadline=None)
     def test_derivative_measure_recovers_function_indices(self, f):
-        nu = GridDensityMeasure.from_derivative_profile(derivative(f))
+        nu = derivative(f)
         assert lop(nu) == loi(f)
         assert lon(nu) == lod(f)
         assert los(nu) == lom(f)
@@ -315,7 +315,7 @@ class TestFunctionBridge:
         rng = np.random.default_rng(99)
         for _ in range(50):
             f = continuous_function(rng)
-            nu = GridDensityMeasure.from_derivative_profile(derivative(f))
+            nu = derivative(f)
             assert lop(nu) == loi(f)
             assert lon(nu) == lod(f)
 
@@ -328,7 +328,7 @@ class TestFunctionBridge:
             n = int(rng.integers(1, 200))
             xs = np.cumsum(rng.uniform(0.1, 3.0, n + 1))
             f = SampledFunction(xs, np.cumsum(rng.normal(0.0, 1.0, n + 1)))
-            nu = GridDensityMeasure.from_derivative_profile(derivative(f))
+            nu = derivative(f)
             assert nu.masses.tolist() == np.diff(f.ys).tolist()
             assert not nu.masses.flags.writeable
             assert (lop(nu), lon(nu), los(nu)) == (loi(f), lod(f), lom(f))
@@ -341,7 +341,7 @@ class TestFunctionBridge:
     def test_bridge_on_dyadic_function_instance(self):
         rng = np.random.default_rng(123)
         f = dyadic_function(rng)
-        nu = GridDensityMeasure.from_derivative_profile(derivative(f))
+        nu = derivative(f)
         assert nu.lengths.tolist() == np.diff(f.xs).tolist()
 
 

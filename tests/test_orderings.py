@@ -112,6 +112,11 @@ class TestSurvivalCurveShape:
             curve.value(-0.25)
         with pytest.raises(InvalidParameterError):
             curve.value(np.array([0.5, -1.0]))
+        # NaN is no threshold either, also for a curve with no breaks to search.
+        for z in (math.nan, np.array([0.5, math.nan])):
+            for nan_curve in (curve, survival_minus(RISING_LINE)):
+                with pytest.raises(InvalidParameterError, match=r"^survival curves are defined for thresholds z >= 0$"):
+                    nan_curve.value(z)
 
     def test_standardized_input_gives_identical_curve(self):
         # TENT starts at the origin; the same tent shifted along both axes (exactly) has the same curve.
@@ -146,9 +151,9 @@ def reference_curve(g, sign: str) -> SurvivalCurve:
     """The curve from the whole derivative profile, every cell of the other sign at part 0."""
     profile = derivative(g)
     if sign == "neg":
-        parts = np.where(profile.slopes < 0.0, -profile.slopes, 0.0)
+        parts = np.where(profile.densities < 0.0, -profile.densities, 0.0)
     else:
-        parts = np.where(profile.slopes > 0.0, profile.slopes, 0.0)
+        parts = np.where(profile.densities > 0.0, profile.densities, 0.0)
     order = np.argsort(parts, kind="stable")
     sorted_parts = parts[order]
     suffix = np.cumsum(profile.lengths[order][::-1])[::-1]

@@ -433,6 +433,50 @@ class TestGainLossReport:
         with pytest.raises(UndefinedRatioError):
             gain_loss_report(SampledFunction([0.0, 1.0], [0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "xs, ys, want",
+        [
+            # a − b overflows in the crossing cell, whose root is at its middle.
+            ([0.0, 1.0], [1e308, -1e308], (1.0, 0.5, 0.0, True)),
+            # a + b overflows.
+            ([0.0, 1.0], [1.7e308, 1.7e308], (math.inf, 1.0, 1.7e308, True)),
+            # The width overflows.
+            ([-1e308, 1e308], [1.0, -1.0], (1.0, 0.5, 0.0, True)),
+            ([-1e308, 1e308], [-0.25, -0.75], (0.0, 0.0, -1e308, False)),
+            # Gains and losses of 1.25e308 each: their sum, the denominator of omega, overflows.
+            ([0.0, 1.0, 2.0, 3.0], [1e308, 1e308, -1e308, -1e308], (1.0, 0.5, 0.0, True)),
+        ],
+    )
+    def test_extreme_samples_give_the_true_values(self, xs, ys, want):
+        rep = gain_loss_report(SampledFunction(xs, ys))
+        assert (rep.glr, rep.omega_style, rep.integral, rep.integral_nonneg) == want
+
+    def test_scaling_by_powers_of_two_scales_the_integral_exactly(self):
+        # Values near the top of float64, on narrow cells: many a + b and a − b
+        # overflow, and the halved cells must give the scaled results bit for bit.
+        rng = np.random.default_rng(3232)
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            xs = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, n))))
+            ys = rng.uniform(-3.0, 3.0, n + 1)
+            small = gain_loss_report(SampledFunction(xs, ys))
+            big = gain_loss_report(SampledFunction(xs * 2.0**-10, ys * 2.0**1022))
+            assert (big.glr, big.omega_style, big.integral_nonneg) == (small.glr, small.omega_style, small.integral_nonneg)
+            assert big.integral == small.integral * 2.0**1012
+
+    @pytest.mark.parametrize(
+        "xs, ys, part",
+        [
+            ([-1e308, 1e308], [1e308, 1e308], "positive"),
+            ([0.0, 1.0, 2.0], [1e308, 1e308, 1e308], "positive"),
+            ([0.0, 1.0, 2.0], [-1e308, -1e308, -1e308], "negative"),
+        ],
+    )
+    def test_a_part_wider_than_float64_names_its_integral(self, xs, ys, part):
+        with pytest.raises(InvalidInputError) as excinfo:
+            gain_loss_report(SampledFunction(xs, ys))
+        assert str(excinfo.value) == f"the integral of the {part} part of g overflows float64"
+
 
 class TestLoadingReport:
     def test_fields_match_components(self):
