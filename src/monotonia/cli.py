@@ -49,95 +49,85 @@ def _all_numeric(cells: list[str]) -> bool:
     return True
 
 
-def _read_csv(path: str, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise reader: the reference for ``_read_table`` and the source of its row errors.
+def _data_rows(path: str, reader, ncols: int):
+    """The data rows of a ``csv.reader`` as (row number, values).
 
-    Returns the data rows as an (n, ncols) array and their line numbers;
-    skips blank lines and one leading header.
+    Skips blank rows and one leading header, and raises the error that names
+    the offending row.
     """
-    values: list[float] = []
-    linenos: list[int] = []
     header_allowed = True
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            if header_allowed and not _all_numeric(cells):
-                header_allowed = False
-                continue
+    for rowno, row in enumerate(reader, start=1):
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        if header_allowed and not _all_numeric(cells):
             header_allowed = False
-            if len(cells) != ncols:
-                raise InvalidInputError(
-                    f"{path}: row {lineno}: expected {ncols} column(s), got {len(cells)}"
-                )
-            try:
-                row_values = [float(c) for c in cells]
-            except ValueError:
-                raise InvalidInputError(f"{path}: row {lineno}: non-numeric value") from None
-            if not all(math.isfinite(v) for v in row_values):
-                raise InvalidInputError(f"{path}: row {lineno}: non-finite value")
-            values.extend(row_values)
-            linenos.append(lineno)
-    return np.array(values, dtype=np.float64).reshape(-1, ncols), np.array(linenos, dtype=np.intp)
+            continue
+        header_allowed = False
+        if len(cells) != ncols:
+            raise InvalidInputError(f"{path}: row {rowno}: expected {ncols} column(s), got {len(cells)}")
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            raise InvalidInputError(f"{path}: row {rowno}: non-numeric value") from None
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidInputError(f"{path}: row {rowno}: non-finite value")
+        yield rowno, values
 
 
-def _parse_table(text: str, ncols: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_read_csv``'s result in one ``np.loadtxt`` call, or None where it cannot be sure of it."""
-    # NUL bytes, quoted fields below the header and fields over the csv
-    # module's size limit are for the csv module to parse or reject.
-    if "\0" in text:
+def _bulk_rows(lines: list[str], first: tuple[int, list[float]], ncols: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``first``, the first data row, then the rows on the ``lines`` after its own, read by one ``np.loadtxt``.
+
+    None where that call cannot be sure to give the rows the csv module gives.
+    """
+    # Quoted fields, NUL bytes and fields over the csv module's size limit
+    # are for the csv module to parse or reject.  The joined copy of the
+    # text is not held through the parse.
+    body = "\n".join(lines)
+    if '"' in body or "\0" in body:
         return None
-    # The line breaks of open(newline=""): \r\n, a lone \r, \n.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    del body
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
-    if lengths.max() > csv.field_size_limit():
+    if lengths.max(initial=0) > csv.field_size_limit():
         return None
-    first = 0
-    while first < len(lines) and not lines[first].replace(",", "").strip():
-        first += 1
-    header = lines[first] if first < len(lines) else ""
-    if text.count('"') != header.count('"'):
-        return None
-    if '"' in header:
-        # A quoted header, as spreadsheets write it.  The csv module reads it,
-        # and must end the row on this line, as it does reading the whole file.
-        reader = csv.reader([header, ""])
-        cells = [c.strip() for c in next(reader)]
-        if reader.line_num != 1 or not any(cells) or _all_numeric(cells):
-            return None
-        first += 1
-    elif first < len(lines) and not _all_numeric([c.strip() for c in header.split(",")]):
-        first += 1
-    body = lines[first:]
-    if not any(body):
-        # np.loadtxt warns on input without data.
-        return np.empty((0, ncols)), np.empty(0, dtype=np.intp)
+    # Unquoted, each line is one csv row, so the rows number on from first's,
+    # even where a row before it spans lines.  np.loadtxt skips empty lines
+    # only, so each non-empty line gives one row; it warns on input without any.
+    rownos = np.flatnonzero(lengths) + (first[0] + 1)
     try:
         # comments=None: a '#' row is malformed input, not a comment.
-        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if rownos.size else np.empty((0, ncols))
     except ValueError:
         return None
-    # np.loadtxt skips empty lines only, so each non-empty line gave one row.
-    linenos = np.flatnonzero(lengths[first:]) + (first + 1)
-    if values.shape != (linenos.shape[0], ncols) or not np.isfinite(values).all():
+    if values.shape != (rownos.shape[0], ncols) or not np.isfinite(values).all():
         return None
-    return values, linenos
+    return np.vstack((first[1], values)), np.concatenate(([first[0]], rownos))
 
 
 def _read_table(path: str, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Data rows of a CSV file as an (n, ncols) float64 array, and their line numbers.
+    """Data rows of a CSV file as an (n, ncols) float64 array, and their row numbers.
 
-    Skips blank lines and one leading header.  Input the bulk parse cannot
-    take is read again row by row, which names the offending row.
+    Skips blank rows and one leading header.  The csv module reads up to the
+    first data row and ``np.loadtxt`` the lines after it; where that cannot be
+    sure, the csv module carries on from where it stopped.  No line is read twice.
     """
+    # The lines of open(newline=""), which end at \r\n, a lone \r or \n.  The
+    # csv module reads any line break alike outside quotes, and inside them
+    # it is whitespace, which a cell strips or fails float() on alike.
     with open(path, "rb") as fh:
         try:
-            text = fh.read().decode("utf-8")
+            lines = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from None
-    table = _parse_table(text, ncols)
-    return table if table is not None else _read_csv(path, ncols)
+    reader = csv.reader(line + "\n" for line in lines)
+    rows = _data_rows(path, reader, ncols)
+    first = next(rows, None)
+    if first is not None:
+        table = _bulk_rows(lines[reader.line_num :], first, ncols)
+        if table is not None:
+            return table
+    rows = [first, *rows] if first else []
+    return np.array([v for _, v in rows]).reshape(-1, ncols), np.array([n for n, _ in rows], dtype=np.intp)
 
 
 def _load_function(path: str) -> SampledFunction:
@@ -175,11 +165,7 @@ def _load_sample(path: str) -> EmpiricalDistribution:
 
 
 def _round12(x: float) -> float:
-    if math.isinf(x):
-        return x
-    if x == 0.0:
-        return 0.0
-    return float(f"{x:.12g}")
+    return float("%.12g" % (x + 0.0))
 
 
 def _round_floats(obj):
@@ -236,9 +222,7 @@ def _fmt_value(v) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return "0" if v == 0.0 else f"{v:.12g}"
+        return "%.12g" % (v + 0.0)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_fmt_value(e) for e in v) + "]"
     return str(v)

@@ -301,7 +301,8 @@ def _value_split(g: SampledFunction) -> tuple[float, float]:
     areas are exact for the piecewise-linear model.  A cell whose width, or
     whose a + b or a − b, overflows is computed from halved widths or values,
     which cannot, and its parts are doubled back.  Raises where the integral
-    of a part itself overflows float64.
+    of a part itself overflows float64, or underflows it: a part is positive
+    wherever g has an ordinate of its sign.
     """
     xs, a, b = g.xs, g.ys[:-1], g.ys[1:]
     with np.errstate(over="ignore"):
@@ -333,9 +334,12 @@ def _value_split(g: SampledFunction) -> tuple[float, float]:
             pos[crossing] = np.where(ac > 0.0, first, second)
             neg[crossing] = np.where(ac > 0.0, -second, -first)
         totals = float(np.sum(pos * scale)), float(np.sum(neg * scale))
-    for part, total in zip(("positive", "negative"), totals):
+    nonzero = (np.max(g.ys) > 0.0, np.min(g.ys) < 0.0)
+    for part, total, part_nonzero in zip(("positive", "negative"), totals, nonzero):
         if math.isinf(total):
             raise InvalidInputError(f"the integral of the {part} part of g overflows float64")
+        if total == 0.0 and part_nonzero:
+            raise InvalidInputError(f"the integral of the {part} part of g underflows float64")
     return totals
 
 
@@ -343,6 +347,8 @@ def _ratios(pos: float, neg: float) -> tuple[float, float]:
     if pos == 0.0 and neg == 0.0:
         raise UndefinedRatioError("both the positive and negative parts integrate to zero")
     glr = math.inf if neg == 0.0 else pos / neg
+    if math.isinf(glr) and neg > 0.0:
+        raise InvalidInputError(f"the gain-loss ratio {pos!r} / {neg!r} overflows float64")
     total = pos + neg
     if math.isinf(total):
         # Where the sum overflows, halving the larger part is exact.
@@ -371,7 +377,8 @@ def gain_loss_report(g: SampledFunction) -> GainLossReport:
     negative part (+inf when nothing is negative); the second divides by the
     integral of |g| instead.  Both are computed from an exact sign-split of
     the piecewise-linear model, so the three predicates "integral >= 0",
-    "first ratio >= 1", and "second ratio >= 1/2" agree.
+    "first ratio >= 1", and "second ratio >= 1/2" agree.  A part, or the first
+    ratio, beyond the range of float64 raises ``InvalidInputError``.
     """
     pos, neg = _value_split(_as_sampled(g))
     integral = pos - neg

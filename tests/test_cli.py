@@ -210,10 +210,13 @@ class TestTableFloats:
         magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, 40_000)
         ties = _near_ties(rng, 3_000)
         edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, sys.float_info.max,
-                 -sys.float_info.max, math.inf, -math.inf, 0.1, 1.0, 999999999999.5, 1e12, 123456789012.5]
+                 -sys.float_info.max, math.inf, -math.inf, math.nan, 0.1, 1.0, 999999999999.5, 1e12,
+                 123456789012.5]
         values = np.concatenate((finite, magnitudes, -magnitudes, ties, edges)).tolist()
         diffs = [v for v in values if _fmt_value(v) != _fmt_float_reference(v)]
         assert diffs == []
+        rounded = np.array([cli._round12(v) for v in values]).view(np.int64)
+        assert (rounded == np.array([_round12_reference(v) for v in values]).view(np.int64)).all()
         assert len(values) > 100_000
 
 
@@ -449,6 +452,12 @@ class TestExitContract:
         code, out, err = run(["glr", str(edge)])
         assert (code, err) == (0, "")
         assert out.endswith("glr: 1\nomega_style: 0.5\nintegral: 0\nintegral_nonneg: yes\n")
+
+    def test_glr_beyond_float64_is_an_input_error(self, run, tmp_path):
+        path = tmp_path / "steep.csv"
+        path.write_text("x,y\n0,1e300\n0.25,1e300\n0.5,0\n0.75,-1e-10\n", encoding="utf-8")
+        code, out, err = run(["glr", str(path)])
+        assert (code, out, err) == (2, "", "error: the gain-loss ratio 3.75e+299 / 1.25e-11 overflows float64\n")
 
     @pytest.mark.parametrize(
         "argv, text",

@@ -1,16 +1,18 @@
-"""Differential tests of the CLI's bulk CSV reader.
+"""Differential tests of the CLI's CSV reader.
 
-``cli._read_table`` parses a whole file with one ``np.loadtxt`` call and
-falls back to the row-wise ``cli._read_csv`` on anything that call cannot
-take exactly.  ``_read_csv`` is the reference for the values and line
-numbers.  The list-based loaders below, the CLI's loaders before the bulk
-reader, on top of ``_read_csv``, are the reference for what ``cli.main``
-prints.
+``cli._read_table`` reads a file with the csv module up to its first data
+row, the lines after it with one ``np.loadtxt`` call, and carries on with
+the csv module where that call cannot take them exactly.  ``_read_csv``
+below, a row-wise reader over the csv module alone, is the reference for
+the values, row numbers and errors.  The list-based loaders below, the CLI's
+loaders before the bulk reader, on top of ``_read_csv``, are the reference
+for what ``cli.main`` prints.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -86,6 +88,18 @@ CASES = {
     "nul_in_data": b"x,y\n0,0\n1,\x001\n",
     "nul_in_header": b"x\x00,y\n0,0\n1,1\n",
     "field_over_csv_limit": b"x,y\n" + b"0" * (csv.field_size_limit() + 1) + b"1,0\n2,1\n",
+    "field_over_csv_limit_below_first_row": b"x,y\n0,0\n" + b"0" * (csv.field_size_limit() + 1) + b"1,0\n2,1\n",
+    # A line break inside quotes is part of the cell: "1\n2" is no number.
+    "quoted_number_split_by_line_break": b'x,y\n0,0\n"1\n2",1\n',
+    "quoted_header_number_split_by_line_break": b'"1\n2",3\n0,0\n1,1\n',
+    # The csv module carries on after the first data row, where np.loadtxt cannot.
+    "quoted_value_spans_lines_below_rows": b'x,y\n0,0\n"1\n",1\n2,2\n',
+    "non_numeric_row_before_field_over_csv_limit": (
+        b"x,y\n0,0\n1,a\n" + b"0" * (csv.field_size_limit() + 1) + b",1\n2,2\n"
+    ),
+    "nul_line_after_first_data_row": b"x,y\n0,0\n\x00\n2,2\n",
+    "quoted_header_and_quoted_first_value": b'"x","y"\n"0",0\n1,1\n"2",2\n',
+    "one_row_body_after_header_spanning_lines": b'"x\n,y",z\n0,0\n1,1\n',
 }
 
 COMMANDS = {
@@ -98,8 +112,50 @@ COMMANDS = {
 # -- the reference loaders ---------------------------------------------------
 
 
+def _all_numeric(cells: list[str]) -> bool:
+    for cell in cells:
+        try:
+            float(cell)
+        except ValueError:
+            return False
+    return True
+
+
+def _read_csv(path: str, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise reader: the reference for ``_read_table`` and the source of its row errors.
+
+    Returns the data rows as an (n, ncols) array and their line numbers;
+    skips blank lines and one leading header.
+    """
+    values: list[float] = []
+    linenos: list[int] = []
+    header_allowed = True
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            cells = [c.strip() for c in row]
+            if not any(cells):
+                continue
+            if header_allowed and not _all_numeric(cells):
+                header_allowed = False
+                continue
+            header_allowed = False
+            if len(cells) != ncols:
+                raise InvalidInputError(
+                    f"{path}: row {lineno}: expected {ncols} column(s), got {len(cells)}"
+                )
+            try:
+                row_values = [float(c) for c in cells]
+            except ValueError:
+                raise InvalidInputError(f"{path}: row {lineno}: non-numeric value") from None
+            if not all(math.isfinite(v) for v in row_values):
+                raise InvalidInputError(f"{path}: row {lineno}: non-finite value")
+            values.extend(row_values)
+            linenos.append(lineno)
+    return np.array(values, dtype=np.float64).reshape(-1, ncols), np.array(linenos, dtype=np.intp)
+
+
 def _rows(path: str, ncols: int) -> list[tuple[int, list[float]]]:
-    values, linenos = cli._read_csv(path, ncols)
+    values, linenos = _read_csv(path, ncols)
     return list(zip(linenos.tolist(), values.tolist()))
 
 
@@ -143,6 +199,24 @@ def _outcome(read, path: str, ncols: int):
     return values.view(np.int64).tolist(), linenos.tolist()
 
 
+def _bulk_read_table(monkeypatch):
+    """``cli._read_table``, failing unless ``np.loadtxt`` reads every line after the first data row."""
+    bulk_rows = cli._bulk_rows
+    tables = []
+
+    def recording_bulk_rows(*args):
+        tables.append(bulk_rows(*args))
+        return tables[-1]
+
+    def read_table(path, ncols):
+        table = cli._read_table(path, ncols)
+        assert len(tables) == 1 and tables[0] is table, "the csv module read past the first data row"
+        return table
+
+    monkeypatch.setattr(cli, "_bulk_rows", recording_bulk_rows)
+    return read_table
+
+
 def _run_main(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -157,7 +231,7 @@ def _run_main(capsys, argv):
 def test_bulk_reader_matches_row_wise_reader(tmp_path, name, ncols):
     path = tmp_path / "in.csv"
     path.write_bytes(CASES[name])
-    assert _outcome(cli._read_table, str(path), ncols) == _outcome(cli._read_csv, str(path), ncols)
+    assert _outcome(cli._read_table, str(path), ncols) == _outcome(_read_csv, str(path), ncols)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -174,7 +248,7 @@ def test_cli_output_matches_list_based_loaders(tmp_path, monkeypatch, capsys, na
 
 
 def test_header_crlf_and_empty_lines_stay_on_the_bulk_path(tmp_path, monkeypatch):
-    """A header, CRLF line breaks, shuffled rows and empty lines stay off the row-wise reader."""
+    """A header, CRLF line breaks, shuffled rows and empty lines keep the body on the np.loadtxt path."""
     rng = np.random.default_rng(7)
     lines = ["x,y"]
     for x, y in zip(rng.permutation(500) * 0.5, rng.normal(size=500)):
@@ -183,13 +257,7 @@ def test_header_crlf_and_empty_lines_stay_on_the_bulk_path(tmp_path, monkeypatch
         lines.append(f"{float(x)!r},{float(y)!r}")
     path = tmp_path / "in.csv"
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-    expected = _outcome(cli._read_csv, str(path), 2)
-
-    def row_wise_not_expected(path, ncols):
-        raise AssertionError("fell back to the row-wise reader")
-
-    monkeypatch.setattr(cli, "_read_csv", row_wise_not_expected)
-    assert _outcome(cli._read_table, str(path), 2) == expected
+    assert _outcome(_bulk_read_table(monkeypatch), str(path), 2) == _outcome(_read_csv, str(path), 2)
 
 
 def test_quoted_spreadsheet_header_stays_on_the_bulk_path(tmp_path, monkeypatch):
@@ -198,14 +266,25 @@ def test_quoted_spreadsheet_header_stays_on_the_bulk_path(tmp_path, monkeypatch)
     lines = ['"x","y"'] + [f"{float(x)!r},{float(y)!r}" for x, y in zip(rng.permutation(500) * 0.5, rng.normal(size=500))]
     path = tmp_path / "in.csv"
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-    expected = _outcome(cli._read_csv, str(path), 2)
+    expected = _outcome(_read_csv, str(path), 2)
     assert len(expected[1]) == 500
+    assert _outcome(_bulk_read_table(monkeypatch), str(path), 2) == expected
 
-    def row_wise_not_expected(path, ncols):
-        raise AssertionError("fell back to the row-wise reader")
 
-    monkeypatch.setattr(cli, "_read_csv", row_wise_not_expected)
-    assert _outcome(cli._read_table, str(path), 2) == expected
+def test_a_file_that_falls_back_is_opened_once(tmp_path, monkeypatch):
+    """A quoted value below the first data row is read on by the csv module, from the text already read."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(CASES["quoted_value_spans_lines_below_rows"])
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    table = cli._read_table(str(path), 2)
+    assert opened == [str(path)]
+    assert table[0].tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]] and table[1].tolist() == [2, 3, 4]
 
 
 _NUMBER_TEXT = st.one_of(
@@ -223,7 +302,7 @@ def test_bulk_values_are_bit_identical_to_float(cells):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "in.csv")
         Path(path).write_text(text, encoding="utf-8")
-        assert _outcome(cli._read_table, path, 2) == _outcome(cli._read_csv, path, 2)
+        assert _outcome(cli._read_table, path, 2) == _outcome(_read_csv, path, 2)
 
 
 @pytest.mark.parametrize("content", [b"", b"x,y\n", b"\n\n", b"\n \n\t\n , \n", b"x,y\n\n\n", b"x,y\n \n\t\n"])

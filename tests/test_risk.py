@@ -477,6 +477,27 @@ class TestGainLossReport:
             gain_loss_report(SampledFunction(xs, ys))
         assert str(excinfo.value) == f"the integral of the {part} part of g overflows float64"
 
+    @pytest.mark.parametrize(
+        "xs, ys, part",
+        [
+            ([0.0, 5e-324], [5e-324, 5e-324], "positive"),
+            ([0.0, 1e-200], [1e-200, -1e-200], "positive"),
+            ([0.0, 5e-324], [-5e-324, -5e-324], "negative"),
+            # A positive part of 0.5 and a negative part of 2.5e-324, which rounds to zero.
+            ([0.0, 1.0, 2.0], [1.0, 0.0, -5e-324], "negative"),
+        ],
+    )
+    def test_a_part_below_float64_names_its_integral(self, xs, ys, part):
+        with pytest.raises(InvalidInputError) as excinfo:
+            gain_loss_report(SampledFunction(xs, ys))
+        assert str(excinfo.value) == f"the integral of the {part} part of g underflows float64"
+
+    def test_a_ratio_beyond_float64_is_an_input_error(self):
+        # Gains of 1.5e300 over losses of 5e-11: the ratio is no "nothing negative" infinity.
+        with pytest.raises(InvalidInputError) as excinfo:
+            gain_loss_report(SampledFunction([0.0, 1.0, 2.0, 3.0], [1e300, 1e300, 0.0, -1e-10]))
+        assert str(excinfo.value) == "the gain-loss ratio 1.5e+300 / 5e-11 overflows float64"
+
 
 class TestLoadingReport:
     def test_fields_match_components(self):
@@ -503,6 +524,11 @@ class TestLoadingReport:
         assert rep.gain_loss_ratio is None
         assert rep.omega_style_ratio is None
         assert_close(rep.premium, 2.5)
+
+    def test_a_ratio_beyond_float64_is_an_input_error(self):
+        # size_biased(1040) gives the lower block a weight of about 1e-314.
+        with pytest.raises(InvalidInputError, match=r"^the gain-loss ratio 0\.5 / .* overflows float64$"):
+            loading_report(EmpiricalDistribution([0.0, 1.0]), WeightSpec.size_biased(1040.0))
 
     def test_three_predicates_are_consistent(self):
         rng = np.random.default_rng(990)
