@@ -75,25 +75,19 @@ def _data_rows(path: str, reader, ncols: int):
         yield rowno, values
 
 
-def _bulk_rows(lines: list[str], first: tuple[int, list[float]], ncols: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``first``, the first data row, then the rows on the ``lines`` after its own, read by one ``np.loadtxt``.
+def _bulk_rows(lines: list[str], rowno: int, ncols: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows on ``lines``, which hold no quote or NUL and follow row ``rowno``, read by one ``np.loadtxt``.
 
     None where that call cannot be sure to give the rows the csv module gives.
     """
-    # Quoted fields, NUL bytes and fields over the csv module's size limit
-    # are for the csv module to parse or reject.  The joined copy of the
-    # text is not held through the parse.
-    body = "\n".join(lines)
-    if '"' in body or "\0" in body:
-        return None
-    del body
+    # Fields over the csv module's size limit are for the csv module to reject.
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
     if lengths.max(initial=0) > csv.field_size_limit():
         return None
-    # Unquoted, each line is one csv row, so the rows number on from first's,
-    # even where a row before it spans lines.  np.loadtxt skips empty lines
+    # Unquoted, each line is one csv row, so the rows number on from rowno,
+    # even where a row before them spans lines.  np.loadtxt skips empty lines
     # only, so each non-empty line gives one row; it warns on input without any.
-    rownos = np.flatnonzero(lengths) + (first[0] + 1)
+    rownos = np.flatnonzero(lengths) + (rowno + 1)
     try:
         # comments=None: a '#' row is malformed input, not a comment.
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if rownos.size else np.empty((0, ncols))
@@ -101,7 +95,7 @@ def _bulk_rows(lines: list[str], first: tuple[int, list[float]], ncols: int) -> 
         return None
     if values.shape != (rownos.shape[0], ncols) or not np.isfinite(values).all():
         return None
-    return np.vstack((first[1], values)), np.concatenate(([first[0]], rownos))
+    return values, rownos
 
 
 def _read_table(path: str, ncols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,23 +103,29 @@ def _read_table(path: str, ncols: int) -> tuple[np.ndarray, np.ndarray]:
 
     Skips blank rows and one leading header.  The csv module reads up to the
     first data row and ``np.loadtxt`` the lines after it; where that cannot be
-    sure, the csv module carries on from where it stopped.  No line is read twice.
+    sure, the csv module carries on from where it stopped.  The file is opened
+    and decoded once, and the csv module does not read the head again.
     """
     # The lines of open(newline=""), which end at \r\n, a lone \r or \n.  The
     # csv module reads any line break alike outside quotes, and inside them
     # it is whitespace, which a cell strips or fails float() on alike.
     with open(path, "rb") as fh:
         try:
-            lines = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from None
+    lines = text.split("\n")
+    # Quoted fields and NUL bytes are for the csv module to parse or reject,
+    # so it reads at least through the last line that holds one.
+    last = max(text.rfind('"'), text.rfind("\0"))
+    csv_lines = text.count("\n", 0, last) + 1 if last >= 0 else 0
     reader = csv.reader(line + "\n" for line in lines)
     rows = _data_rows(path, reader, ncols)
     first = next(rows, None)
-    if first is not None:
-        table = _bulk_rows(lines[reader.line_num :], first, ncols)
-        if table is not None:
-            return table
+    if first is not None and reader.line_num >= csv_lines:
+        body = _bulk_rows(lines[reader.line_num :], first[0], ncols)
+        if body is not None:
+            return np.vstack((first[1], body[0])), np.concatenate(([first[0]], body[1]))
     rows = [first, *rows] if first else []
     return np.array([v for _, v in rows]).reshape(-1, ncols), np.array([n for n, _ in rows], dtype=np.intp)
 

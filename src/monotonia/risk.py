@@ -328,9 +328,13 @@ def _value_split(g: SampledFunction) -> tuple[float, float]:
         crossing = ~(both_pos | both_neg)
         if np.any(crossing):
             ac, bc, hc = a[crossing], b[crossing], h[crossing]
+            # The root splits the cell at fractions t and s = 1 - t, each
+            # formed as a quotient: 1.0 - t loses s to cancellation once t
+            # rounds to 1, as where |b| is below 1e-16 |a|.
             t = ac / (ac - bc)
+            s = bc / (bc - ac)
             first = 0.5 * hc * t * ac
-            second = 0.5 * hc * (1.0 - t) * bc
+            second = 0.5 * hc * s * bc
             pos[crossing] = np.where(ac > 0.0, first, second)
             neg[crossing] = np.where(ac > 0.0, -second, -first)
         totals = float(np.sum(pos * scale)), float(np.sum(neg * scale))

@@ -459,6 +459,14 @@ class TestExitContract:
         code, out, err = run(["glr", str(path)])
         assert (code, out, err) == (2, "", "error: the gain-loss ratio 3.75e+299 / 1.25e-11 overflows float64\n")
 
+    def test_glr_of_a_float_residual_next_to_one_is_finite(self, run, tmp_path):
+        # 0.1 + 0.2 - 0.3 is -5.55e-17: its sliver of negative part is no underflow.
+        path = tmp_path / "residual.csv"
+        path.write_text(f"x,y\n0,1\n1,{0.3 - (0.1 + 0.2)!r}\n", encoding="utf-8")
+        code, out, err = run(["glr", str(path)])
+        assert (code, err) == (0, "")
+        assert "glr: 3.24518553658e+32" in out.splitlines()
+
     @pytest.mark.parametrize(
         "argv, text",
         [

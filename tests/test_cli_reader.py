@@ -202,16 +202,17 @@ def _outcome(read, path: str, ncols: int):
 def _bulk_read_table(monkeypatch):
     """``cli._read_table``, failing unless ``np.loadtxt`` reads every line after the first data row."""
     bulk_rows = cli._bulk_rows
-    tables = []
+    bodies = []
 
     def recording_bulk_rows(*args):
-        tables.append(bulk_rows(*args))
-        return tables[-1]
+        bodies.append(bulk_rows(*args))
+        return bodies[-1]
 
     def read_table(path, ncols):
-        table = cli._read_table(path, ncols)
-        assert len(tables) == 1 and tables[0] is table, "the csv module read past the first data row"
-        return table
+        values, rownos = cli._read_table(path, ncols)
+        assert len(bodies) == 1 and bodies[0] is not None, "the csv module read past the first data row"
+        assert values[1:].tobytes() == bodies[0][0].tobytes() and rownos[1:].tolist() == bodies[0][1].tolist()
+        return values, rownos
 
     monkeypatch.setattr(cli, "_bulk_rows", recording_bulk_rows)
     return read_table

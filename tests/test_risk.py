@@ -492,6 +492,19 @@ class TestGainLossReport:
             gain_loss_report(SampledFunction(xs, ys))
         assert str(excinfo.value) == f"the integral of the {part} part of g underflows float64"
 
+    @pytest.mark.parametrize(
+        "ys, glr",
+        [
+            # A part of 5e-35 next to a part of 0.5: 1 - t rounds to 0 here.
+            ([1.0, -1e-17], 1e34),
+            ([-1.0, 1e-17], 1e-34),
+        ],
+    )
+    def test_a_tiny_crossing_is_no_underflow(self, ys, glr):
+        rep = gain_loss_report(SampledFunction([0.0, 1.0], ys))
+        assert math.isclose(rep.glr, glr, rel_tol=1e-12)
+        assert rep.integral_nonneg is (glr >= 1.0)
+
     def test_a_ratio_beyond_float64_is_an_input_error(self):
         # Gains of 1.5e300 over losses of 5e-11: the ratio is no "nothing negative" infinity.
         with pytest.raises(InvalidInputError) as excinfo:
