@@ -9,7 +9,16 @@ against cell lengths, which the piecewise-constant model evaluates exactly
 sum of the parts of the increments Δy: each term is rounded once, where Δy
 is formed, and needs no lengths and no slopes.  Only ``loi_p`` and the
 survival curves use cell widths; ``measures.derivative`` gives df itself
-as a grid measure, with the increments as its masses.  Vertical
+as a grid measure, with the increments as its masses.
+
+A ``SampledFunction`` is frozen: construction copies any array that the
+caller could still write through, and keeps only one that is read-only and
+owns its data, so its samples do not change.  Its sign
+split (the NEG and POS sums of its increments and their total) is therefore
+reduced once, on the first index that needs it, and kept on the function;
+``loi``, ``lod``, ``lom``, ``total_variation``, the normalised indices,
+``report`` and the index comparisons all read it.  ``loi_p`` at p ≠ 1, the
+survival curves and ``derivative`` still do their work on every call.  Vertical
 jumps are not representable: duplicate abscissas are rejected and callers
 must pre-process data with ties.
 """
@@ -40,8 +49,13 @@ def _as_float_array(values, name: str) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """A read-only array of ``arr``'s values that no other array can write to.
+
+    ``arr`` itself is kept only where it is read-only and owns its data: a
+    read-only view of a writeable buffer can still change through its owner.
+    """
     out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out is arr and arr.flags.writeable:
+    if out is arr and (arr.flags.writeable or arr.base is not None):
         out = arr.copy()
     out.flags.writeable = False
     return out
@@ -53,6 +67,11 @@ class SampledFunction:
 
     xs: np.ndarray
     ys: np.ndarray
+
+    # The sign split of the increments, (neg, pos, tv), set on first use by
+    # ``_increment_split``.  Not a field: ``dataclasses.replace`` and
+    # ``restrict`` make a new function, which reduces its own.
+    _split = None
 
     def __post_init__(self):
         xs = _as_float_array(self.xs, "xs")
@@ -167,13 +186,21 @@ def _checked_sum(total: float, what: str) -> float:
 
 
 def _increment_sum(g: SampledFunction, code: int) -> float:
-    """The NEG or POS reduction of the increments of ``g``."""
-    return _checked_sum(_backend.transform_reduce(_increments(g), code), _LINEAR_SUMS[code])
+    """The NEG or POS reduction of the increments of ``g``: entry ``code`` of its split."""
+    return _checked_sum(_increment_split(g)[code], _LINEAR_SUMS[code])
 
 
 def _increment_split(g: SampledFunction) -> tuple[float, float, float]:
-    """``sign_split_sums`` of the increments of ``g``."""
-    return _backend.sign_split_sums(_increments(g))
+    """``sign_split_sums`` of the increments of ``g``, reduced on first use and kept on ``g``.
+
+    Its NEG and POS entries are the NEG and POS reductions bit for bit.  The
+    raw sums are kept, so each caller checks them for overflow on every call.
+    Two threads that race here compute the same bits.
+    """
+    f = _as_sampled(g)
+    if f._split is None:
+        object.__setattr__(f, "_split", _backend.sign_split_sums(_increments(f)))
+    return f._split
 
 
 def total_variation(g: SampledFunction) -> float:

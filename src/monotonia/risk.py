@@ -294,15 +294,32 @@ def v_theta(ed: EmpiricalDistribution) -> tuple[SampledFunction, float]:
     return SampledFunction(knots, vals), float(np.sum(vals)) / n
 
 
+def _half_product(*factors: np.ndarray) -> np.ndarray:
+    """0.5 times the product of ``factors``, multiplied mantissa by mantissa.
+
+    The exponents are added apart and applied once, at the end, so only the
+    result can overflow or underflow, never a partial product (``0.5 * h``
+    alone rounds a sub-normal width h to 0).  Where every partial product of
+    ``0.5 * h * ...`` is normal, the bits are the same.
+    """
+    mantissa, exponent = np.frexp(factors[0])
+    for factor in factors[1:]:
+        m, e = np.frexp(factor)
+        mantissa *= m
+        exponent += e
+    return np.ldexp(mantissa, exponent - 1)
+
+
 def _value_split(g: SampledFunction) -> tuple[float, float]:
     """Exact integrals of the positive and negative parts of the values of g.
 
     Cells where the sign changes are split at the interpolated root, so both
     areas are exact for the piecewise-linear model.  A cell whose width, or
     whose a + b or a − b, overflows is computed from halved widths or values,
-    which cannot, and its parts are doubled back.  Raises where the integral
-    of a part itself overflows float64, or underflows it: a part is positive
-    wherever g has an ordinate of its sign.
+    which cannot, and its parts are doubled back.  Each part is formed by
+    ``_half_product``, so only a part that is itself below float64 rounds to
+    0.  Raises where the integral of a part itself overflows float64, or
+    underflows it: a part is positive wherever g has an ordinate of its sign.
     """
     xs, a, b = g.xs, g.ys[:-1], g.ys[1:]
     with np.errstate(over="ignore"):
@@ -322,8 +339,8 @@ def _value_split(g: SampledFunction) -> tuple[float, float]:
     both_neg = (a <= 0.0) & (b <= 0.0)
     # Only a part that exceeds float64 overflows here; its sum then raises below.
     with np.errstate(over="ignore"):
-        pos[both_pos] = 0.5 * h[both_pos] * (a[both_pos] + b[both_pos])
-        neg[both_neg] = -0.5 * h[both_neg] * (a[both_neg] + b[both_neg])
+        pos[both_pos] = _half_product(h[both_pos], a[both_pos] + b[both_pos])
+        neg[both_neg] = -_half_product(h[both_neg], a[both_neg] + b[both_neg])
 
         crossing = ~(both_pos | both_neg)
         if np.any(crossing):
@@ -333,8 +350,8 @@ def _value_split(g: SampledFunction) -> tuple[float, float]:
             # rounds to 1, as where |b| is below 1e-16 |a|.
             t = ac / (ac - bc)
             s = bc / (bc - ac)
-            first = 0.5 * hc * t * ac
-            second = 0.5 * hc * s * bc
+            first = _half_product(hc, t, ac)
+            second = _half_product(hc, s, bc)
             pos[crossing] = np.where(ac > 0.0, first, second)
             neg[crossing] = np.where(ac > 0.0, -second, -first)
         totals = float(np.sum(pos * scale)), float(np.sum(neg * scale))

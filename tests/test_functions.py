@@ -1,11 +1,13 @@
 """Function model: validation, derivatives, and the exact integrals of the parts of f′."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotonia import (
     GridDensityMeasure,
@@ -13,11 +15,16 @@ from monotonia import (
     InvalidParameterError,
     SampledFunction,
     _backend,
+    compare,
     derivative,
     lod,
     loi,
     loi_p,
+    lom,
     lop,
+    normalized_indices,
+    report,
+    survival_minus,
     total_variation,
 )
 from monotonia._backend import NEG, NEG_POW, POS
@@ -64,6 +71,22 @@ class TestSampledFunctionValidation:
         f = SampledFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             f.xs[0] = 5.0
+
+    def test_a_read_only_view_of_a_writeable_buffer_is_copied(self):
+        # The view cannot be written, but its owner can: the function must not see that.
+        y = np.array([0.0, 1.0, 0.0])
+        v = y.view()
+        v.flags.writeable = False
+        f = SampledFunction([0.0, 1.0, 2.0], v)
+        assert loi(f) == 1.0
+        y[2] = 5.0
+        assert f.ys.tolist() == [0.0, 1.0, 0.0]
+        assert loi(f) == 1.0
+
+    def test_a_read_only_array_that_owns_its_data_is_kept(self):
+        f = SampledFunction([0.0, 1.0], [0.0, 1.0])
+        g = SampledFunction(f.xs, f.ys)
+        assert g.xs is f.xs and g.ys is f.ys
 
     def test_from_callable_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -250,3 +273,101 @@ class TestModelInvariants:
         for n in (2_000, 4_000, 8_000):
             assert abs(neg_at(n) - neg_at(2 * n)) < 1.0 / n
             assert abs(neg_at(n) - 1.0) < 1.0 / n
+
+
+# Every query that reads the sign split of a function's increments, on a pair (f, h).
+SPLIT_QUERIES = {
+    "loi": lambda f, h: loi(f),
+    "lod": lambda f, h: lod(f),
+    "lom": lambda f, h: lom(f),
+    "total_variation": lambda f, h: total_variation(f),
+    "normalized_indices": lambda f, h: normalized_indices(f),
+    "report": lambda f, h: report(f, p=2),
+    "compare I": lambda f, h: compare(f, h, "I"),
+    "compare D": lambda f, h: compare(f, h, "D"),
+    "compare M": lambda f, h: compare(f, h, "M"),
+    "survival_minus tv": lambda f, h: survival_minus(f).tv,
+}
+
+
+def outcome(query, f, h) -> str:
+    """The repr of the answer or of the error: float reprs round-trip, so equal reprs are equal bits."""
+    try:
+        return repr(query(f, h))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The number of cells of each ``sign_split_sums`` call, as a list that grows."""
+    calls = []
+    reduce = _backend.sign_split_sums
+
+    def counting(masses):
+        calls.append(masses.shape[0])
+        return reduce(masses)
+
+    monkeypatch.setattr(_backend, "sign_split_sums", counting)
+    return calls
+
+
+@st.composite
+def sampled_pairs(draw):
+    """Two functions on one grid of arbitrary widths, with arbitrary (not dyadic) values."""
+    n = draw(st.integers(2, 12))
+    widths = draw(st.lists(st.floats(0.125, 8.0), min_size=n - 1, max_size=n - 1))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    xs = np.concatenate(([0.0], np.cumsum(widths)))
+    ys_f = np.asarray(draw(st.lists(values, min_size=n, max_size=n)))
+    ys_h = np.asarray(draw(st.lists(values, min_size=n, max_size=n)))
+    return xs, ys_f, ys_h
+
+
+class TestSignSplitMemo:
+    """A function reduces its increments once, on first use, and every later answer is the same."""
+
+    @pytest.mark.parametrize("name", SPLIT_QUERIES)
+    def test_one_reduction_per_function_object(self, name, split_calls):
+        f = SampledFunction([0.0, 1.0, 2.5, 3.0], [0.0, 2.0, -1.0, 0.5])
+        h = SampledFunction([0.0, 1.0, 2.0], [1.0, 0.0, 3.0])
+        query = SPLIT_QUERIES[name]
+        first = outcome(query, f, h)
+        for _ in range(2):
+            assert outcome(query, f, h) == first
+        assert len(split_calls) == (2 if name.startswith("compare") else 1)
+        for other in SPLIT_QUERIES.values():
+            outcome(other, f, h)
+        assert split_calls == [3, 2]
+
+    @given(sampled_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_a_warm_function_answers_as_a_fresh_one(self, arrays):
+        xs, ys_f, ys_h = arrays
+        warm = SampledFunction(xs, ys_f), SampledFunction(xs, ys_h)
+        for query in SPLIT_QUERIES.values():
+            outcome(query, *warm)
+        for name, query in SPLIT_QUERIES.items():
+            fresh = SampledFunction(xs, ys_f), SampledFunction(xs, ys_h)
+            assert outcome(query, *warm) == outcome(query, *fresh), name
+
+    @pytest.mark.parametrize("name", SPLIT_QUERIES)
+    def test_an_overflowing_sum_raises_on_every_call(self, name):
+        f = SampledFunction([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.5e308, 0.0, 1.5e308, 0.0])
+        errors = []
+        for _ in range(2):
+            with pytest.raises(InvalidInputError) as excinfo:
+                SPLIT_QUERIES[name](f, f)
+            errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1].endswith("overflows float64")
+
+    def test_restrict_and_replace_reduce_their_own_split(self, split_calls):
+        f = SampledFunction([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, -1.0, 0.5])
+        assert loi(f) == 3.0
+        restricted = f.restrict(0.5, 2.5)
+        replaced = dataclasses.replace(f, ys=-f.ys)
+        same = dataclasses.replace(f)
+        assert (loi(restricted), loi(replaced), loi(same)) == (3.0, 3.5, 3.0)
+        assert total_variation(restricted) == 4.75
+        assert len(split_calls) == 4

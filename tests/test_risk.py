@@ -28,6 +28,7 @@ from monotonia import (
     quantile,
     v_theta,
 )
+from monotonia.risk import _value_split
 
 from helpers import assert_close
 
@@ -504,6 +505,28 @@ class TestGainLossReport:
         rep = gain_loss_report(SampledFunction([0.0, 1.0], ys))
         assert math.isclose(rep.glr, glr, rel_tol=1e-12)
         assert rep.integral_nonneg is (glr >= 1.0)
+
+    @pytest.mark.parametrize(
+        "xs, ys, integral",
+        [
+            # A sub-normal width, where 0.5 * h rounds to 0: parts of about 5e-24.
+            ([0.0, 5e-324], [1e300, 1e300], Fraction(5e-324) * Fraction(1e300)),
+            # A sub-normal a + b over a wide cell.
+            ([0.0, 1e300], [5e-324, 0.0], Fraction(1e300) * Fraction(5e-324) / 2),
+            # h * (a + b) overflows, though half of it does not.
+            ([0.0, 1e300], [1.5e8, 1.5e8], Fraction(1e300) * Fraction(1.5e8)),
+        ],
+    )
+    def test_a_part_is_formed_without_a_premature_underflow_or_overflow(self, xs, ys, integral):
+        rep = gain_loss_report(SampledFunction(xs, ys))
+        assert (rep.glr, rep.omega_style, rep.integral) == (math.inf, 1.0, float(integral))
+
+    def test_a_crossing_cell_of_sub_normal_width_has_two_parts(self):
+        # Each part is 5e-324 * 1e300 / 4, about 1.2e-24.
+        rep = gain_loss_report(SampledFunction([0.0, 5e-324], [1e300, -1e300]))
+        assert (rep.glr, rep.omega_style, rep.integral) == (1.0, 0.5, 0.0)
+        part = float(Fraction(5e-324) * Fraction(1e300) / 4)
+        assert _value_split(SampledFunction([0.0, 5e-324], [1e300, -1e300])) == (part, part)
 
     def test_a_ratio_beyond_float64_is_an_input_error(self):
         # Gains of 1.5e300 over losses of 5e-11: the ratio is no "nothing negative" infinity.
