@@ -2,14 +2,15 @@
 
 Every index is a finite sum over cells.  A linear index sums a part H (the
 negative or the positive part) of signed cell masses: the increments Δy of
-a sampled function, the weights of atoms, the masses of grid cells.  The
+a sampled function, the weights of atoms, the masses of grid cells.
+``sign_split_sums`` gives both parts and their total in one call.  The
 powered index sums ``length * H(value)**p`` over the cells of a
 piecewise-constant density, with its lengths and values, for the negative
-part H.  Both run over blocks of ``BLOCK`` (64 Ki) cells: a linear
-reduction takes the part of a block into one small buffer and sums it with
-``np.sum``; a powered one gathers the negative cells of a block, unless all
-of them are, and sums their powers against their lengths with ``np.dot``.
-The block sums are added left to right.
+part H; ``transform_reduce`` computes it.  Both run over blocks of ``BLOCK``
+(64 Ki) cells: a linear reduction takes the part of a block into one small
+buffer and sums it with ``np.sum``; a powered one gathers the negative cells
+of a block, unless all of them are, and sums their powers against their
+lengths with ``np.dot``.  The block sums are added left to right.
 
 Accuracy: over n cells the result differs from the exact sum of the terms
 by at most (n + 1)·u·Σ|terms|, u = 2**-53.  A linear term is a cell mass
@@ -23,9 +24,9 @@ partial sum is exact, as on dyadic data, so is the result.
 Exact guarantees beyond that:
 
 * a zero result is +0.0, and an empty input gives 0.0;
-* ``sign_split_sums``' results are the NEG and POS reductions and their
-  sum, bit for bit, so ``lom``, ``lop``, ``report`` and the normalised
-  indices agree exactly with ``loi``, ``lod`` and ``total_variation``;
+* ``sign_split_sums``' total is the sum of its negative and positive
+  masses, bit for bit, and its negative mass of ``masses`` is its positive
+  mass of ``-masses``;
 * a term that overflows makes a sum of non-negative terms ``inf``.
 """
 
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Transform codes: H is the negative or the positive part, and NEG_POW raises
-# the negative part to a power p.
+# NEG and POS index the negative and positive masses in a sign split;
+# NEG_POW, the one code of ``transform_reduce``, raises the negative part to a power p.
 NEG = 0
 POS = 1
 NEG_POW = 2
@@ -69,9 +70,6 @@ def _pos(masses) -> float:
     return _part_sum(masses, np.maximum)
 
 
-_LINEAR = {NEG: _neg, POS: _pos}
-
-
 def _powered_sum(values: np.ndarray, p: float, lengths: np.ndarray | None) -> float:
     """Σ length * (−value)**p over the negative values of one block, gathering them unless all are."""
     negative = values < 0.0
@@ -93,16 +91,12 @@ def _powered_sum(values: np.ndarray, p: float, lengths: np.ndarray | None) -> fl
 
 
 def transform_reduce(values: np.ndarray, code: int, p: float = 1.0, lengths: np.ndarray | None = None) -> float:
-    """Sum over cells of ``H(value)`` for a linear ``code``, or of ``length * H(value)**p`` for NEG_POW.
+    """Sum over cells of ``length * H(value)**p``, H the negative part: ``code`` must be NEG_POW.
 
-    A linear code reduces signed cell masses and takes no lengths.  NEG_POW
-    takes the values of a density and their cell ``lengths``, or unit
-    lengths when ``lengths`` is None.
+    It takes the values of a density and their cell ``lengths``, or unit
+    lengths when ``lengths`` is None.  The linear sums come from
+    ``sign_split_sums``.
     """
-    if code in _LINEAR:
-        if lengths is not None:
-            raise ValueError("a linear code sums cell masses and takes no lengths")
-        return _LINEAR[code](values)
     if code != NEG_POW:
         raise ValueError(f"unknown transform code {code}")
     total = 0.0

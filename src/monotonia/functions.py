@@ -11,16 +11,16 @@ is formed, and needs no lengths and no slopes.  Only ``loi_p`` and the
 survival curves use cell widths; ``measures.derivative`` gives df itself
 as a grid measure, with the increments as its masses.
 
-A ``SampledFunction`` is frozen: construction copies any array that the
-caller could still write through, and keeps only one that is read-only and
-owns its data, so its samples do not change.  Its sign
-split (the NEG and POS sums of its increments and their total) is therefore
-reduced once, on the first index that needs it, and kept on the function;
-``loi``, ``lod``, ``lom``, ``total_variation``, the normalised indices,
-``report`` and the index comparisons all read it.  ``loi_p`` at p ≠ 1, the
-survival curves and ``derivative`` still do their work on every call.  Vertical
-jumps are not representable: duplicate abscissas are rejected and callers
-must pre-process data with ties.
+A ``SampledFunction`` is frozen: its samples live in arrays backed by
+immutable bytes, which NumPy refuses to make writeable again, so they do
+not change.  Its answers are therefore kept on it as scalars, each
+computed on the first call that needs it: its sign split (the NEG and POS
+sums of its increments and their total), which ``loi``, ``lod``, ``lom``,
+``total_variation``, the normalised indices, ``report``, the index
+comparisons and its derivative measure all read, and ``loi_p`` at each
+exponent p ≠ 1.  The survival curves and ``derivative`` still do their
+work on every call.  Vertical jumps are not representable: duplicate
+abscissas are rejected and callers must pre-process data with ties.
 """
 
 from __future__ import annotations
@@ -49,15 +49,16 @@ def _as_float_array(values, name: str) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """A read-only array of ``arr``'s values that no other array can write to.
+    """A read-only array of ``arr``'s values that nothing can write to.
 
-    ``arr`` itself is kept only where it is read-only and owns its data: a
-    read-only view of a writeable buffer can still change through its owner.
+    The values are copied once into an array over an immutable ``bytes``
+    object, which NumPy refuses to make writeable again.  ``arr`` itself is
+    kept only where it already is such an array, so re-wrapping a frozen
+    array (``restrict``, ``dataclasses.replace``) copies nothing.
     """
     out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out is arr and (arr.flags.writeable or arr.base is not None):
-        out = arr.copy()
-    out.flags.writeable = False
+    if not isinstance(out.base, bytes):
+        out = np.frombuffer(out.tobytes(), dtype=np.float64)
     return out
 
 
@@ -69,9 +70,11 @@ class SampledFunction:
     ys: np.ndarray
 
     # The sign split of the increments, (neg, pos, tv), set on first use by
-    # ``_increment_split``.  Not a field: ``dataclasses.replace`` and
-    # ``restrict`` make a new function, which reduces its own.
+    # ``_increment_split``, and ``loi_p`` by exponent, a dict set on first use
+    # by ``indices._loi_p``.  Not fields: ``dataclasses.replace`` and
+    # ``restrict`` make a new function, which computes its own.
     _split = None
+    _loi_p = None
 
     def __post_init__(self):
         xs = _as_float_array(self.xs, "xs")
@@ -91,6 +94,11 @@ class SampledFunction:
             raise InvalidInputError("xs must be strictly increasing")
         object.__setattr__(self, "xs", _freeze(xs))
         object.__setattr__(self, "ys", _freeze(ys))
+
+    def __reduce__(self):
+        # A copy or an unpickled function is built again, so that its arrays
+        # are frozen and it keeps no answer that they did not give.
+        return type(self), (self.xs, self.ys)
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float], a: float, b: float, n: int) -> "SampledFunction":
@@ -190,16 +198,18 @@ def _increment_sum(g: SampledFunction, code: int) -> float:
     return _checked_sum(_increment_split(g)[code], _LINEAR_SUMS[code])
 
 
-def _increment_split(g: SampledFunction) -> tuple[float, float, float]:
+def _increment_split(g: SampledFunction, increments: np.ndarray | None = None) -> tuple[float, float, float]:
     """``sign_split_sums`` of the increments of ``g``, reduced on first use and kept on ``g``.
 
-    Its NEG and POS entries are the NEG and POS reductions bit for bit.  The
+    ``increments``, where given, are ``_increments(g)`` already formed.  The
     raw sums are kept, so each caller checks them for overflow on every call.
     Two threads that race here compute the same bits.
     """
     f = _as_sampled(g)
     if f._split is None:
-        object.__setattr__(f, "_split", _backend.sign_split_sums(_increments(f)))
+        if increments is None:
+            increments = _increments(f)
+        object.__setattr__(f, "_split", _backend.sign_split_sums(increments))
     return f._split
 
 

@@ -122,12 +122,27 @@ def loi_p(g: SampledFunction, p: float) -> float:
 
 
 def _loi_p(f: SampledFunction, p: float) -> float:
-    """``loi_p`` of ``f``, from the difference quotients and widths of its cells."""
+    """``loi_p`` of ``f``: at p = 1 its split's NEG sum, else computed on first use and kept on ``f`` by p.
+
+    Only a finite index is kept, so one that raises raises on every call.
+    Two threads that race here compute the same bits.
+    """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise InvalidParameterError(f"p must be a finite real >= 1, got {p}")
     if p == 1.0:
         return _increment_sum(f, _backend.NEG)
+    kept = f._loi_p
+    if kept is None:
+        kept = {}
+        object.__setattr__(f, "_loi_p", kept)
+    if p not in kept:
+        kept[p] = _powered_loi_p(f, p)
+    return kept[p]
+
+
+def _powered_loi_p(f: SampledFunction, p: float) -> float:
+    """``loi_p`` of ``f`` at p > 1, from the difference quotients and widths of its cells."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         widths = np.diff(f.xs)
         quotients = np.diff(f.ys)

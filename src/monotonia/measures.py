@@ -8,6 +8,14 @@ lop measures the total mass that must be added to make the measure positive,
 lon the mass to remove to make it negative, and los twice the smaller of the
 two.  The grid representation is the bridge to functions: ``derivative(g)``,
 the measure dg with density g', recovers the function-level indices exactly.
+
+A measure is frozen like a function, so it keeps its sign split (the mass
+below zero, the mass above it and their total), reduced on the first index
+that needs it; every positivity index and ``total_variation`` read it, and
+a mixed measure sums the splits of its parts.  ``derivative(g)`` hands dg
+the split of g, which is the same reduction of the same increments, so
+lop(dg) = loi(g) holds bit for bit.  ``derivative`` itself still forms its
+arrays on every call.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from . import _backend
 from .errors import InvalidInputError, UndefinedIndexError
-from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _freeze
+from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _freeze, _increment_split
 from .indices import _indices
 
 __all__ = [
@@ -51,6 +59,9 @@ class DiscreteSignedMeasure:
     locations: np.ndarray
     weights: np.ndarray
 
+    # The sign split of the weights, set on first use by ``_split_measure``.
+    _split = None
+
     def __post_init__(self):
         locations = _as_float_array(self.locations, "locations")
         weights = _as_float_array(self.weights, "weights")
@@ -74,6 +85,10 @@ class DiscreteSignedMeasure:
                 )
         object.__setattr__(self, "locations", _freeze(locations))
         object.__setattr__(self, "weights", _freeze(weights))
+
+    def __reduce__(self):
+        # Built again, like a copied function, so that no split is kept on writeable arrays.
+        return type(self), (self.locations, self.weights)
 
     @classmethod
     def from_atoms(cls, atoms) -> "DiscreteSignedMeasure":
@@ -107,6 +122,9 @@ class GridDensityMeasure:
     densities: np.ndarray
     masses: np.ndarray = field(init=False, repr=False)
 
+    # The sign split of the masses, set on first use by ``_split_measure``.
+    _split = None
+
     def __post_init__(self):
         lengths = _as_float_array(self.lengths, "lengths")
         densities = _as_float_array(self.densities, "densities")
@@ -135,12 +153,21 @@ class GridDensityMeasure:
 
     @classmethod
     def _of(cls, lengths: np.ndarray, densities: np.ndarray, masses: np.ndarray) -> "GridDensityMeasure":
-        """A measure from valid arrays, each frozen already or fresh, and then frozen in place."""
+        """A measure from valid arrays, each frozen already or fresh, and then frozen in place.
+
+        A fresh array is only marked read-only, not copied as ``_freeze``
+        would (8 MB a million cells): setting its flag writeable again is
+        unsupported, since the measure's kept split would go stale.
+        """
         nu = object.__new__(cls)
         for name, value in (("lengths", lengths), ("densities", densities), ("masses", masses)):
             value.flags.writeable = False
             object.__setattr__(nu, name, value)
         return nu
+
+    def __reduce__(self):
+        # Built again from its arrays, masses included: those of dg are Δy, not lengths · densities.
+        return type(self)._of, (self.lengths, self.densities, self.masses)
 
     def total_variation(self) -> float:
         return positivity_report(self).tv
@@ -158,7 +185,10 @@ def derivative(g: SampledFunction) -> GridDensityMeasure:
         # Cells of valid samples have positive length: only an overflow leaves one non-finite.
         i = int(np.argmin(finite))
         raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64")
-    return GridDensityMeasure._of(lengths, densities, masses)
+    nu = GridDensityMeasure._of(lengths, densities, masses)
+    # dg's masses are g's increments, so its split is g's.
+    object.__setattr__(nu, "_split", _increment_split(f, masses))
+    return nu
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,17 +253,22 @@ class PositivityReport:
 
 
 def _split_measure(nu) -> tuple[float, float, float]:
-    """Return (mass below zero, mass above zero, total variation)."""
-    if isinstance(nu, DiscreteSignedMeasure):
-        split = _backend.sign_split_sums(nu.weights)
-    elif isinstance(nu, GridDensityMeasure):
-        split = _backend.sign_split_sums(nu.masses)
-    elif isinstance(nu, MixedSignedMeasure):
+    """Return (mass below zero, mass above zero, total variation), reduced on first use and kept on ``nu``.
+
+    Two threads that race here compute the same bits.
+    """
+    if isinstance(nu, MixedSignedMeasure):
         parts = (_split_measure(nu.discrete), _split_measure(nu.grid))
-        split = tuple(a + b for a, b in zip(*parts))
+        return tuple(a + b for a, b in zip(*parts))
+    if isinstance(nu, DiscreteSignedMeasure):
+        masses = nu.weights
+    elif isinstance(nu, GridDensityMeasure):
+        masses = nu.masses
     else:
         raise InvalidInputError(f"not a signed measure representation: {type(nu).__name__}")
-    return split
+    if nu._split is None:
+        object.__setattr__(nu, "_split", _backend.sign_split_sums(masses))
+    return nu._split
 
 
 def positivity_report(nu) -> PositivityReport:

@@ -161,6 +161,14 @@ def dominated_pair(rng: np.random.Generator) -> tuple[SampledFunction, SampledFu
     return g, h
 
 
+def outcome(query, *args) -> str:
+    """The repr of ``query(*args)`` or of its error: float reprs round-trip, so equal reprs are equal bits."""
+    try:
+        return repr(query(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def negate(f: SampledFunction) -> SampledFunction:
     return SampledFunction(f.xs, -f.ys)
 

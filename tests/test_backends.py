@@ -2,8 +2,8 @@
 
 Each kernel sum is checked against ``math.fsum`` of the loop's terms within
 the summation error bound, and exactly where the contract is exact: empty
-inputs, zero results, and the sign split against the single reductions.  A
-linear code reduces one array of signed cell masses; the powered code takes
+inputs, zero results, and the sign split's total and symmetry.  The sign
+split reduces one array of signed cell masses; the powered code takes
 values and, optionally, their cell lengths.
 """
 
@@ -18,7 +18,6 @@ from helpers import assert_sum_within_bound
 from monotonia import _backend
 from monotonia._backend import NEG, NEG_POW, POS
 
-LINEAR_CODES = (NEG, POS)
 POWER_CODES = (NEG_POW,)
 POWERS = (1.0, 1.5, 2.0, 2.7, 3.0)
 # pow's error on a powered term: np.power was measured within 1 ulp of
@@ -37,21 +36,14 @@ def libm_pow(x, p):
 def reference_terms(values, code, p=1.0, lengths=None):
     """The terms of a plain loop, and the slack pow's error adds to their sum.
 
-    A linear code's terms are ``H(mass)``; the powered code's are
-    ``length * (−value)**p`` over the negative values, with unit lengths
-    when ``lengths`` is None.
+    The powered code's terms are ``length * (−value)**p`` over the negative
+    values, with unit lengths when ``lengths`` is None.
     """
     terms = []
     slack = 0.0
     unit = lengths is None
     for length, v in zip([1.0] * len(values) if unit else lengths.tolist(), values.tolist()):
-        if code == NEG:
-            if v < 0.0:
-                terms.append(-v)
-        elif code == POS:
-            if v > 0.0:
-                terms.append(v)
-        elif code == NEG_POW and v < 0.0:
+        if code == NEG_POW and v < 0.0:
             power = libm_pow(abs(v), p)
             terms.append(power if unit else length * power)
             if p != 1.0:
@@ -97,7 +89,7 @@ def extreme_cells(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndar
 
 
 BLOCK = 1 << 16
-# (lengths, values): the linear codes take the values as masses, the powered ones both.
+# (lengths, values): the sign split takes the values as masses, the powered code both.
 EDGE_CASES = {
     # Every powered term underflows: each powered result is +0.0.
     "underflow": ([1e-300, 1e-300, 1e-300], [-1e-300, 1e-300, -1e-300]),
@@ -128,11 +120,9 @@ ADVERSARIAL = list(adversarial_cases())
 
 
 def reduce_cases():
-    """(case name, values, code, p, lengths) over the adversarial inputs: masses alone
-    for the linear codes, values with and without lengths for the powered ones."""
+    """(case name, values, code, p, lengths) over the adversarial inputs: values
+    with and without lengths for the powered code."""
     for name, lengths, values in ADVERSARIAL:
-        for code in LINEAR_CODES:
-            yield name, values, code, 1.0, None
         for code in POWER_CODES:
             for p in (1.0, 2.0, 2.7):
                 yield name, values, code, p, lengths
@@ -160,11 +150,12 @@ class TestAdversarialAccuracy:
 class TestAdversarialBitwise:
     """The exact parts of the contract on the same adversarial inputs."""
 
-    def test_split_equals_linear_reductions(self):
+    def test_split_total_and_mirror_are_exact(self):
         for name, _, masses in ADVERSARIAL:
             neg, pos, tv = _backend.sign_split_sums(masses)
-            assert same_bits(neg, _backend.transform_reduce(masses, NEG)), name
-            assert same_bits(pos, _backend.transform_reduce(masses, POS)), name
+            mirrored = _backend.sign_split_sums(-masses)
+            assert same_bits(neg, mirrored[POS]), name
+            assert same_bits(pos, mirrored[NEG]), name
             assert same_bits(tv, neg + pos), name
 
     def test_zero_results_are_positive_zero(self):
@@ -206,9 +197,8 @@ class TestTransformReduceParity:
         rng = np.random.default_rng(8080)
         for trial in range(200):
             lengths, values = random_cells(rng, int(rng.integers(1, 40)))
-            for code in LINEAR_CODES:
-                terms, _ = reference_terms(values, code)
-                assert_sum_within_bound(_backend.transform_reduce(values, code), terms), (trial, code)
+            for result, terms in zip(_backend.sign_split_sums(values), reference_split_terms(values), strict=True):
+                assert_sum_within_bound(result, terms), trial
             for code in POWER_CODES:
                 for p in POWERS:
                     for cell_lengths in (lengths, None):
@@ -218,8 +208,6 @@ class TestTransformReduceParity:
 
     def test_empty_arrays(self):
         empty = np.empty(0, dtype=np.float64)
-        for code in LINEAR_CODES:
-            assert same_bits(_backend.transform_reduce(empty, code), 0.0)
         for code in POWER_CODES:
             assert same_bits(_backend.transform_reduce(empty, code, 2.0), 0.0)
             assert same_bits(_backend.transform_reduce(empty, code, 2.0, empty), 0.0)
@@ -229,16 +217,11 @@ class TestTransformReduceParity:
 
     def test_unknown_code_rejected(self):
         arr = np.array([1.0])
-        # Only the negative and positive parts, and the powers of the negative part, are reduced.
-        for code in (3, 4, 5, 99):
-            with pytest.raises(ValueError):
-                _backend.transform_reduce(arr, code, 2.0)
-
-    def test_linear_codes_take_no_lengths(self):
-        arr = np.array([1.0])
-        for code in LINEAR_CODES:
-            with pytest.raises(ValueError):
-                _backend.transform_reduce(arr, code, 1.0, arr)
+        # Only the powers of the negative part are reduced here; the linear sums are the sign split's.
+        for code in (NEG, POS, 3, 4, 5, 99):
+            for lengths in (None, arr):
+                with pytest.raises(ValueError):
+                    _backend.transform_reduce(arr, code, 2.0, lengths)
 
     def test_read_only_arrays_are_accepted(self):
         # Library arrays are frozen, so the kernels must take non-writable input.
@@ -246,22 +229,19 @@ class TestTransformReduceParity:
         values = np.array([-1.0, 3.0])
         lengths.flags.writeable = False
         values.flags.writeable = False
-        assert _backend.transform_reduce(values, NEG) == 1.0
-        assert _backend.transform_reduce(values, POS) == 3.0
         assert _backend.transform_reduce(values, NEG_POW, 2.0, lengths) == 1.0
         assert _backend.sign_split_sums(values) == (1.0, 3.0, 4.0)
 
 
 class TestSignSplitParity:
-    def test_total_mass_matches_abs_reduce(self):
+    def test_parts_of_a_one_signed_array_are_its_total(self):
         rng = np.random.default_rng(88)
         for _ in range(100):
             _, masses = random_cells(rng, int(rng.integers(1, 40)))
             neg, pos, tv = _backend.sign_split_sums(masses)
-            # The magnitude reduction is the negative part's plus the positive part's.
-            assert tv == _backend.transform_reduce(masses, NEG) + _backend.transform_reduce(masses, POS)
-            assert neg == _backend.transform_reduce(masses, NEG)
-            assert pos == _backend.transform_reduce(masses, POS)
+            # Clamping away one sign leaves the other part's bits and a zero part.
+            assert _backend.sign_split_sums(np.minimum(masses, 0.0)) == (neg, 0.0, neg)
+            assert _backend.sign_split_sums(np.maximum(masses, 0.0)) == (0.0, pos, pos)
 
     def test_components_are_consistent(self):
         rng = np.random.default_rng(404)

@@ -1,6 +1,9 @@
 """Raw, normalized, and Lp monotonicity indices with their algebraic laws."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from helpers import (
     dyadic_functions,
     dyadic_scales,
     negate,
+    outcome,
 )
 
 
@@ -326,8 +330,7 @@ class TestIncrements:
             singles = (loi(f), lod(f), total_variation(f), lom(f))
             assert bits(rep.loi, rep.lod, rep.tv, rep.lom) == bits(*singles)
             masses = profile.masses
-            linear = (_backend.transform_reduce(masses, _backend.NEG), _backend.transform_reduce(masses, _backend.POS))
-            assert bits(*linear, _backend.sign_split_sums(masses)[2]) == bits(*singles[:3])
+            assert bits(*_backend.sign_split_sums(masses)) == bits(*singles[:3])
             nu = GridDensityMeasure.from_derivative_profile(profile)
             assert bits(lop(nu), lon(nu), los(nu), nu.total_variation()) == bits(*singles[:2], singles[3], singles[2])
             total = _backend.transform_reduce(profile.densities, _backend.NEG_POW, 2.5, profile.lengths)
@@ -417,3 +420,109 @@ class TestLpFromFallingCells:
         with pytest.raises(InvalidInputError) as excinfo:
             loi_p(f, 2.0)
         assert str(excinfo.value) == "loi_p for p=2.0 underflows float64"
+
+
+@pytest.fixture
+def powered_calls(monkeypatch):
+    """The exponent of each ``transform_reduce`` call, as a list that grows."""
+    calls = []
+    reduce = _backend.transform_reduce
+
+    def counting(values, code, p=1.0, lengths=None):
+        calls.append(p)
+        return reduce(values, code, p, lengths)
+
+    monkeypatch.setattr(_backend, "transform_reduce", counting)
+    return calls
+
+
+# loi_p at these exponents, and report, which attaches it.
+LP_QUERIES = {
+    **{f"loi_p {p}": (lambda f, p=p: loi_p(f, p)) for p in (0.5, 1.0, 1.5, 2.0, 3.0, 7.25, 400.0)},
+    "report p=2": lambda f: report(f, p=2.0),
+    "report p=3": lambda f: report(f, p=3),
+}
+
+
+@st.composite
+def extreme_functions(draw):
+    """Functions whose loi_p can overflow, underflow or take the scaled path."""
+    xs = draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=10, unique=True))
+    values = st.floats(-1e308, 1e308) | st.floats(-1e-300, 1e-300) | st.floats(-8.0, 8.0)
+    ys = draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
+    return SampledFunction(sorted(xs), ys)
+
+
+class TestLpMemo:
+    """A function keeps loi_p by exponent: computed on first use, the same answer ever after."""
+
+    def test_one_powered_reduction_per_exponent(self, powered_calls):
+        f = SampledFunction([0.0, 1.0, 2.5, 3.0, 4.0], [0.0, 2.0, -1.0, 0.5, -3.0])
+        answers = [(loi_p(f, 2.0), report(f, p=2).loi_p, loi_p(f, 3)) for _ in range(2)]
+        assert answers[0] == answers[1]
+        assert powered_calls == [2.0, 3.0]
+        assert answers[0][0] == answers[0][1]
+        # p = 1 reads the sign split, and an integer exponent is the float one.
+        assert (loi_p(f, 1), loi_p(f, 2)) == (loi(f), answers[0][0])
+        assert powered_calls == [2.0, 3.0]
+
+    @given(extreme_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_a_warm_function_answers_as_a_fresh_one(self, f):
+        for query in LP_QUERIES.values():
+            outcome(query, f)
+        for name, query in LP_QUERIES.items():
+            assert outcome(query, f) == outcome(query, SampledFunction(f.xs, f.ys)), name
+
+    @pytest.mark.parametrize(
+        "xs, ys, p, what",
+        [
+            # A fall of 1e300 over a width of 1e-300: loi_p = 1e300 * 1e-300**(1/1.1 - 1) ≈ 1e327.
+            ([0.0, 1e-300, 1.0], [0.0, -1e300, -1e300], 1.1, "overflows"),
+            # A fall of 1e-300 over a width of 1e300: loi_p = 1e-300 / sqrt(1e300) = 1e-450.
+            ([0.0, 1e300, 2e300], [0.0, -1e-300, 0.0], 2.0, "underflows"),
+        ],
+    )
+    def test_a_scaled_path_error_raises_on_every_call(self, xs, ys, p, what):
+        f = SampledFunction(xs, ys)
+        errors = []
+        for query in (lambda: loi_p(f, p), lambda: report(f, p=p), lambda: loi_p(f, p)):
+            with pytest.raises(InvalidInputError) as excinfo:
+                query()
+            errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors == [(InvalidInputError, f"loi_p for p={p!r} {what} float64")] * 3
+
+    def test_restrict_and_replace_start_empty(self, powered_calls):
+        f = SampledFunction([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, -1.0, 0.5])
+        assert loi_p(f, 2.0) == 3.0
+        restricted = f.restrict(0.5, 2.5)
+        replaced = dataclasses.replace(f, ys=2.0 * f.ys)
+        same = dataclasses.replace(f)
+        for g in (restricted, replaced, same):
+            assert g._loi_p is None
+        assert (loi_p(restricted, 2.0), loi_p(replaced, 2.0), loi_p(same, 2.0)) == (3.0, 6.0, 3.0)
+        assert powered_calls == [2.0] * 4
+
+    def test_threads_that_race_get_the_answers_of_a_fresh_function(self):
+        f = random_walk(np.random.default_rng(77), 5000)
+        queries = (lambda g: loi_p(g, 2.0), lambda g: report(g, p=3.0), lambda g: lop(derivative(g)), loi)
+        want = [outcome(query, SampledFunction(f.xs, f.ys)) for query in queries]
+        barrier = threading.Barrier(8)
+        results = []
+
+        def work():
+            barrier.wait(timeout=10)
+            results.append([outcome(query, f) for query in queries])
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * 8

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotonia import (
     DiscreteSignedMeasure,
@@ -16,6 +19,7 @@ from monotonia import (
     PositivityReport,
     SampledFunction,
     UndefinedIndexError,
+    _backend,
     derivative,
     jordan,
     loi,
@@ -31,7 +35,7 @@ from monotonia import (
     total_variation,
 )
 
-from helpers import assert_close, continuous_function, dyadic_function, dyadic_functions
+from helpers import assert_close, continuous_function, dyadic_function, dyadic_functions, outcome
 
 ATOMS = DiscreteSignedMeasure.from_atoms([(0.0, 2.0), (1.0, -1.0), (2.5, 0.5), (3.0, -0.25)])
 GRID = GridDensityMeasure([1.0, 2.0, 0.5], [3.0, -2.0, 0.0])
@@ -384,3 +388,107 @@ class TestOverflowingTotalVariation:
             with pytest.raises(InvalidInputError) as excinfo:
                 index(nu)
             assert str(excinfo.value) == "the total variation overflows float64"
+
+
+# Every query that reads the sign split of a measure.
+MEASURE_QUERIES = {
+    "lop": lop,
+    "lon": lon,
+    "los": los,
+    "lop_norm": lop_norm,
+    "lon_norm": lon_norm,
+    "los_norm": los_norm,
+    "positivity_report": positivity_report,
+    "total_variation": lambda nu: nu.total_variation(),
+}
+
+MASSES = st.floats(-1e308, 1e308) | st.floats(-1e-300, 1e-300) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+@st.composite
+def signed_measures(draw):
+    """A discrete, grid or mixed measure whose indices may be zero, subnormal or overflow."""
+    n = draw(st.integers(0, 8))
+    atoms = DiscreteSignedMeasure(np.arange(float(n)), draw(st.lists(MASSES, min_size=n, max_size=n)))
+    k = draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k))
+    grid = GridDensityMeasure(lengths, draw(st.lists(MASSES, min_size=k, max_size=k)))
+    return draw(st.sampled_from([atoms, grid, MixedSignedMeasure(atoms, grid)]))
+
+
+def fresh(nu):
+    """The same measure, built again, with no split kept."""
+    if isinstance(nu, MixedSignedMeasure):
+        return MixedSignedMeasure(fresh(nu.discrete), fresh(nu.grid))
+    if isinstance(nu, DiscreteSignedMeasure):
+        return DiscreteSignedMeasure(nu.locations, nu.weights)
+    return GridDensityMeasure._of(nu.lengths, nu.densities, nu.masses)
+
+
+class TestSplitMemo:
+    """A measure reduces its masses once, on first use; dg takes the split of g."""
+
+    @pytest.mark.parametrize("nu", [ATOMS, GRID], ids=["discrete", "grid"])
+    def test_one_reduction_per_measure_object(self, nu, split_calls):
+        nu = fresh(nu)
+        answers = [outcome(query, nu) for query in MEASURE_QUERIES.values()]
+        assert [outcome(query, nu) for query in MEASURE_QUERIES.values()] == answers
+        assert len(split_calls) == 1
+
+    def test_a_mixed_measure_sums_the_kept_splits_of_its_parts(self, split_calls):
+        atoms, grid = fresh(ATOMS), fresh(GRID)
+        lop(atoms)
+        mixed = MixedSignedMeasure(atoms, grid)
+        for query in MEASURE_QUERIES.values():
+            query(mixed)
+        assert split_calls == [4, 3]
+        assert positivity_report(MixedSignedMeasure(atoms, grid)).tv == atoms.total_variation() + grid.total_variation()
+        assert split_calls == [4, 3]
+
+    def test_the_derivative_measure_takes_the_split_of_the_function(self, split_calls):
+        f = SampledFunction([0.0, 1.0, 2.5, 3.0], [0.0, 2.0, -1.0, 0.5])
+        assert loi(f) == 3.0
+        assert (lop(derivative(f)), los(derivative(f))) == (3.0, 6.0)
+        assert split_calls == [3]
+        # A cold function is reduced once, by whichever of it and dg comes first.
+        g = SampledFunction([0.0, 1.0, 2.5, 3.0], [1.0, 2.0, -1.0, 0.5])
+        assert (lop(derivative(g)), loi(g), lod(g)) == (3.0, 3.0, 2.5)
+        assert split_calls == [3, 3]
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_split_of_dg_is_the_reduction_of_its_masses(self):
+        rng = np.random.default_rng(5150)
+        for n in (1, 7, 300, _backend.BLOCK + 1):
+            xs = np.cumsum(rng.uniform(0.1, 3.0, n + 1))
+            f = SampledFunction(xs, np.cumsum(rng.normal(0.0, 1.0, n + 1)))
+            nu = derivative(f)
+            assert positivity_report(fresh(nu)) == positivity_report(nu)
+            assert (lop(nu), lon(nu), nu.total_variation()) == (loi(f), lod(f), total_variation(f))
+
+    @given(signed_measures())
+    @settings(max_examples=200, deadline=None)
+    def test_a_warm_measure_answers_as_a_fresh_one(self, nu):
+        for query in MEASURE_QUERIES.values():
+            outcome(query, nu)
+        for name, query in MEASURE_QUERIES.items():
+            assert outcome(query, nu) == outcome(query, fresh(nu)), name
+
+    def test_a_constructed_measure_cannot_be_made_writeable(self):
+        for arr in (ATOMS.locations, ATOMS.weights, GRID.lengths, GRID.densities, GRID.masses):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_a_copied_or_unpickled_measure_is_frozen_and_reduces_its_own(self):
+        f = SampledFunction([0.0, 1.0, 2.5, 3.0], [0.0, 2.0, -1.0, 0.5])
+        for nu in (ATOMS, GRID, derivative(f), MixedSignedMeasure(ATOMS, GRID)):
+            want = positivity_report(nu)
+            for copied in (pickle.loads(pickle.dumps(nu)), copy.deepcopy(nu), copy.copy(nu)):
+                mixed = isinstance(copied, MixedSignedMeasure)
+                parts = (copied.discrete, copied.grid) if mixed else (copied,)
+                for part in parts:
+                    # A shallow copy of a mixed measure shares its frozen parts.
+                    assert part._split is None or (mixed and part in (nu.discrete, nu.grid))
+                    arrays = (part.locations, part.weights) if isinstance(part, DiscreteSignedMeasure) else (
+                        part.lengths, part.densities, part.masses)
+                    assert not any(arr.flags.writeable for arr in arrays)
+                assert positivity_report(copied) == want
