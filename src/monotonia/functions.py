@@ -16,11 +16,12 @@ immutable bytes, which NumPy refuses to make writeable again, so they do
 not change.  Its answers are therefore kept on it as scalars, each
 computed on the first call that needs it: its sign split (the NEG and POS
 sums of its increments and their total), which ``loi``, ``lod``, ``lom``,
-``total_variation``, the normalised indices, ``report``, the index
-comparisons and its derivative measure all read, and ``loi_p`` at each
-exponent p ≠ 1.  The survival curves and ``derivative`` still do their
-work on every call.  Vertical jumps are not representable: duplicate
-abscissas are rejected and callers must pre-process data with ties.
+``total_variation``, the normalised indices, ``report`` and the index
+comparisons all read, and ``loi_p`` at each exponent p ≠ 1.  Once the split
+is kept, its derivative measure takes it over.  The survival curves and
+``derivative`` still do their work on every call.  Vertical jumps are not
+representable: duplicate abscissas are rejected and callers must
+pre-process data with ties.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
     The values are copied once into an array over an immutable ``bytes``
     object, which NumPy refuses to make writeable again.  ``arr`` itself is
-    kept only where it already is such an array, so re-wrapping a frozen
-    array (``restrict``, ``dataclasses.replace``) copies nothing.
+    kept only where it already is such an array, read-only, so re-wrapping
+    a frozen array (``restrict``, ``dataclasses.replace``) copies nothing.
+    An unpickled array over ``bytes`` is writeable, and so is copied.
     """
     out = np.ascontiguousarray(arr, dtype=np.float64)
-    if not isinstance(out.base, bytes):
+    if out.flags.writeable or not isinstance(out.base, bytes):
         out = np.frombuffer(out.tobytes(), dtype=np.float64)
     return out
 
@@ -198,18 +200,15 @@ def _increment_sum(g: SampledFunction, code: int) -> float:
     return _checked_sum(_increment_split(g)[code], _LINEAR_SUMS[code])
 
 
-def _increment_split(g: SampledFunction, increments: np.ndarray | None = None) -> tuple[float, float, float]:
+def _increment_split(g: SampledFunction) -> tuple[float, float, float]:
     """``sign_split_sums`` of the increments of ``g``, reduced on first use and kept on ``g``.
 
-    ``increments``, where given, are ``_increments(g)`` already formed.  The
-    raw sums are kept, so each caller checks them for overflow on every call.
-    Two threads that race here compute the same bits.
+    The raw sums are kept, so each caller checks them for overflow on every
+    call.  Two threads that race here compute the same bits.
     """
     f = _as_sampled(g)
     if f._split is None:
-        if increments is None:
-            increments = _increments(f)
-        object.__setattr__(f, "_split", _backend.sign_split_sums(increments))
+        object.__setattr__(f, "_split", _backend.sign_split_sums(_increments(f)))
     return f._split
 
 

@@ -13,9 +13,9 @@ A measure is frozen like a function, so it keeps its sign split (the mass
 below zero, the mass above it and their total), reduced on the first index
 that needs it; every positivity index and ``total_variation`` read it, and
 a mixed measure sums the splits of its parts.  ``derivative(g)`` hands dg
-the split of g, which is the same reduction of the same increments, so
-lop(dg) = loi(g) holds bit for bit.  ``derivative`` itself still forms its
-arrays on every call.
+the split of g where g keeps one; it is the same reduction of the same
+increments, so lop(dg) = loi(g) holds bit for bit either way.
+``derivative`` itself still forms its arrays on every call.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _backend
 from .errors import InvalidInputError, UndefinedIndexError
-from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _freeze, _increment_split
+from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _freeze
 from .indices import _indices
 
 __all__ = [
@@ -165,9 +165,14 @@ class GridDensityMeasure:
             object.__setattr__(nu, name, value)
         return nu
 
+    @classmethod
+    def _rebuilt(cls, lengths: np.ndarray, densities: np.ndarray, masses: np.ndarray) -> "GridDensityMeasure":
+        """A copied or unpickled measure, whose arrays ``_freeze`` copies where an owner could write them."""
+        return cls._of(_freeze(lengths), _freeze(densities), _freeze(masses))
+
     def __reduce__(self):
         # Built again from its arrays, masses included: those of dg are Δy, not lengths · densities.
-        return type(self)._of, (self.lengths, self.densities, self.masses)
+        return type(self)._rebuilt, (self.lengths, self.densities, self.masses)
 
     def total_variation(self) -> float:
         return positivity_report(self).tv
@@ -186,8 +191,8 @@ def derivative(g: SampledFunction) -> GridDensityMeasure:
         i = int(np.argmin(finite))
         raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64")
     nu = GridDensityMeasure._of(lengths, densities, masses)
-    # dg's masses are g's increments, so its split is g's.
-    object.__setattr__(nu, "_split", _increment_split(f, masses))
+    # dg's masses are g's increments, so g's split, where kept, is dg's.
+    object.__setattr__(nu, "_split", f._split)
     return nu
 
 

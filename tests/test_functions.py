@@ -122,6 +122,31 @@ class TestSampledFunctionValidation:
                     arr.flags.writeable = True
             assert (g.ys.tolist(), loi(g), loi_p(g, 2.0)) == ([0.0, 1.0, 0.0], 1.0, 1.0)
 
+    def test_a_large_unpickled_function_is_frozen(self):
+        # Protocols 0-4 unpickle an array over 1000 bytes as a writeable array over the pickle's bytes.
+        xs = np.linspace(0.0, 1.0, 200)
+        f = SampledFunction(xs, np.sin(20.0 * xs))
+        want = (loi(f), loi_p(f, 2.0))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            g = pickle.loads(pickle.dumps(f, protocol=protocol))
+            for arr in (g.xs, g.ys):
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+            assert (loi(g), loi_p(g, 2.0)) == want
+
+    def test_a_writeable_array_over_bytes_is_copied(self):
+        # What the unpickler makes of an array over 1000 bytes under protocols 0-4,
+        # here with the canonical dtype, which np.asarray passes through as it is.
+        ys = np.empty(0)
+        ys.__setstate__((1, (200,), np.dtype(np.float64), False, np.linspace(0.0, 1.0, 200).tobytes()))
+        assert ys.flags.writeable and isinstance(ys.base, bytes)
+        f = SampledFunction(np.arange(200.0), ys)
+        assert f.ys is not ys and loi(f) == 0.0
+        with pytest.raises(ValueError):
+            f.ys.flags.writeable = True
+        ys[5] = -9.0
+        assert f.ys[5] == 5.0 / 199.0 and loi(f) == 0.0
+
     def test_from_callable_validation(self):
         with pytest.raises(InvalidParameterError):
             SampledFunction.from_callable(math.sin, 1.0, 1.0, 10)

@@ -450,10 +450,6 @@ class TestSplitMemo:
         assert loi(f) == 3.0
         assert (lop(derivative(f)), los(derivative(f))) == (3.0, 6.0)
         assert split_calls == [3]
-        # A cold function is reduced once, by whichever of it and dg comes first.
-        g = SampledFunction([0.0, 1.0, 2.5, 3.0], [1.0, 2.0, -1.0, 0.5])
-        assert (lop(derivative(g)), loi(g), lod(g)) == (3.0, 3.0, 2.5)
-        assert split_calls == [3, 3]
 
     @pytest.mark.filterwarnings("error")
     def test_the_split_of_dg_is_the_reduction_of_its_masses(self):
@@ -480,9 +476,14 @@ class TestSplitMemo:
 
     def test_a_copied_or_unpickled_measure_is_frozen_and_reduces_its_own(self):
         f = SampledFunction([0.0, 1.0, 2.5, 3.0], [0.0, 2.0, -1.0, 0.5])
-        for nu in (ATOMS, GRID, derivative(f), MixedSignedMeasure(ATOMS, GRID)):
+        # 200 cells: protocols 0-4 unpickle an array over 1000 bytes as a writeable array over bytes.
+        xs = np.linspace(0.0, 1.0, 201)
+        large = derivative(SampledFunction(xs, np.sin(20.0 * xs)))
+        for nu in (ATOMS, GRID, derivative(f), large, MixedSignedMeasure(ATOMS, GRID)):
             want = positivity_report(nu)
-            for copied in (pickle.loads(pickle.dumps(nu)), copy.deepcopy(nu), copy.copy(nu)):
+            copies = [pickle.loads(pickle.dumps(nu, protocol=4)), pickle.loads(pickle.dumps(nu)),
+                      copy.deepcopy(nu), copy.copy(nu)]
+            for copied in copies:
                 mixed = isinstance(copied, MixedSignedMeasure)
                 parts = (copied.discrete, copied.grid) if mixed else (copied,)
                 for part in parts:
@@ -490,5 +491,7 @@ class TestSplitMemo:
                     assert part._split is None or (mixed and part in (nu.discrete, nu.grid))
                     arrays = (part.locations, part.weights) if isinstance(part, DiscreteSignedMeasure) else (
                         part.lengths, part.densities, part.masses)
-                    assert not any(arr.flags.writeable for arr in arrays)
+                    for arr in arrays:
+                        with pytest.raises(ValueError):
+                            arr.flags.writeable = True
                 assert positivity_report(copied) == want
