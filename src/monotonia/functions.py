@@ -11,9 +11,11 @@ is formed, and needs no lengths and no slopes.  Only ``loi_p`` and the
 survival curves use cell widths; ``measures.derivative`` gives df itself
 as a grid measure, with the increments as its masses.
 
-A ``SampledFunction`` is frozen: its samples live in arrays backed by
-immutable bytes, which NumPy refuses to make writeable again, so they do
-not change.  Its answers are therefore kept on it as scalars, each
+A ``SampledFunction`` is frozen, like every array that an object of the
+package holds: construction copies the caller's samples once, and
+``_freeze`` wraps the copies, with no second copy, in arrays that NumPy
+refuses to make writeable again.  Their owners are private, so the samples
+do not change, and a function's answers are kept on it as scalars, each
 computed on the first call that needs it: its sign split (the NEG and POS
 sums of its increments and their total), which ``loi``, ``lod``, ``lom``,
 ``total_variation``, the normalised indices, ``report`` and the index
@@ -40,8 +42,10 @@ __all__ = [
     "total_variation",
 ]
 
+
 def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    """A private float64 copy of the caller's ``values``, validated: the one copy of the input."""
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidInputError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -50,18 +54,18 @@ def _as_float_array(values, name: str) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """A read-only array of ``arr``'s values that nothing can write to.
+    """``arr``'s memory as an array that no one can make writeable again.
 
-    The values are copied once into an array over an immutable ``bytes``
-    object, which NumPy refuses to make writeable again.  ``arr`` itself is
-    kept only where it already is such an array, read-only, so re-wrapping
-    a frozen array (``restrict``, ``dataclasses.replace``) copies nothing.
-    An unpickled array over ``bytes`` is writeable, and so is copied.
+    ``arr`` must be contiguous, and either frozen already or made by the
+    package and held by nothing else: a caller's values are copied first, by
+    ``_as_float_array``.  ``arr`` is marked read-only and wrapped, not
+    copied, in an array over a read-only ``memoryview`` of it, whose
+    writeable flag NumPy refuses to set, as it does for every view of it.
+    ``arr`` stays the owner, as ``out.base.obj``, and is private: its own
+    flag can be set again.
     """
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out.flags.writeable or not isinstance(out.base, bytes):
-        out = np.frombuffer(out.tobytes(), dtype=np.float64)
-    return out
+    arr.flags.writeable = False
+    return np.frombuffer(memoryview(arr), arr.dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +114,7 @@ class SampledFunction:
         if n < 2:
             raise InvalidParameterError("need at least 2 sample points")
         xs = np.linspace(a, b, n)
-        ys = np.asarray([fn(float(x)) for x in xs], dtype=np.float64)
-        return cls(xs, ys)
+        return cls(xs, [fn(float(x)) for x in xs])
 
     @property
     def lower(self) -> float:

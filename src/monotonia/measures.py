@@ -98,7 +98,7 @@ class DiscreteSignedMeasure:
             locations, weights = zip(*pairs)
         else:
             locations, weights = (), ()
-        return cls(np.asarray(locations, dtype=np.float64), np.asarray(weights, dtype=np.float64))
+        return cls(locations, weights)
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
@@ -147,28 +147,26 @@ class GridDensityMeasure:
 
         Kept only for the benchmark workload that still calls
         ``from_derivative_profile(derivative(f))``; it goes when that
-        workload calls ``derivative(f)`` alone (ROADMAP item 4).
+        workload calls ``derivative(f)`` alone (ROADMAP item 1).
         """
         return nu
 
     @classmethod
     def _of(cls, lengths: np.ndarray, densities: np.ndarray, masses: np.ndarray) -> "GridDensityMeasure":
-        """A measure from valid arrays, each frozen already or fresh, and then frozen in place.
-
-        A fresh array is only marked read-only, not copied as ``_freeze``
-        would (8 MB a million cells): setting its flag writeable again is
-        unsupported, since the measure's kept split would go stale.
-        """
+        """A measure from valid arrays, each frozen already or made by the library, frozen by ``_freeze``."""
         nu = object.__new__(cls)
         for name, value in (("lengths", lengths), ("densities", densities), ("masses", masses)):
-            value.flags.writeable = False
-            object.__setattr__(nu, name, value)
+            object.__setattr__(nu, name, _freeze(value))
         return nu
 
     @classmethod
     def _rebuilt(cls, lengths: np.ndarray, densities: np.ndarray, masses: np.ndarray) -> "GridDensityMeasure":
-        """A copied or unpickled measure, whose arrays ``_freeze`` copies where an owner could write them."""
-        return cls._of(_freeze(lengths), _freeze(densities), _freeze(masses))
+        """A copied or unpickled measure, over its own copies of the arrays.
+
+        An unpickled array may lie over its caller's buffer, so it is copied.
+        Not validated: a constructed measure may hold a mass that overflowed.
+        """
+        return cls._of(*(np.array(arr, dtype=np.float64) for arr in (lengths, densities, masses)))
 
     def __reduce__(self):
         # Built again from its arrays, masses included: those of dg are Δy, not lengths · densities.
@@ -233,12 +231,6 @@ class JordanPair:
     negative_part: "DiscreteSignedMeasure | GridDensityMeasure"
     hahn_positive: np.ndarray = field(repr=False)
     hahn_negative: np.ndarray = field(repr=False)
-
-
-def _freeze_index(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.intp)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -306,8 +298,8 @@ def jordan(nu: DiscreteSignedMeasure | GridDensityMeasure) -> JordanPair:
     return JordanPair(
         positive_part=positive,
         negative_part=negative,
-        hahn_positive=_freeze_index(hahn_pos),
-        hahn_negative=_freeze_index(hahn_neg),
+        hahn_positive=_freeze(hahn_pos),
+        hahn_negative=_freeze(hahn_neg),
     )
 
 

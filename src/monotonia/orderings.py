@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _backend
 from .errors import InvalidInputError, InvalidParameterError, UndefinedComparisonError
-from .functions import SampledFunction, _as_sampled, _cell, _signed_cells, total_variation
+from .functions import SampledFunction, _as_sampled, _cell, _freeze, _signed_cells, total_variation
 from .indices import MonotonicityReport, report
 
 __all__ = [
@@ -116,7 +116,7 @@ def _curve(g: SampledFunction, sign: str) -> SurvivalCurve:
     if tails.shape[0] and math.isinf(tails[0]):
         kind = "falling" if sign == "neg" else "rising"
         raise InvalidInputError(f"the total length of the {kind} cells overflows float64")
-    return SurvivalCurve(breaks=sorted_parts[starts], tail_lengths=tails, sign=sign, tv=tv)
+    return SurvivalCurve(breaks=_freeze(sorted_parts[starts]), tail_lengths=_freeze(tails), sign=sign, tv=tv)
 
 
 def survival_minus(g: SampledFunction) -> SurvivalCurve:

@@ -69,7 +69,8 @@ class EmpiricalDistribution:
         values = _as_float_array(self.values, "values")
         if values.shape[0] < 1:
             raise InvalidInputError("need at least one observation")
-        object.__setattr__(self, "values", _freeze(np.sort(values, kind="stable")))
+        values.sort(kind="stable")
+        object.__setattr__(self, "values", _freeze(values))
 
     @property
     def n(self) -> int:
@@ -217,6 +218,9 @@ class WeightSpec:
             lam = self.param
             t = np.asarray(t, dtype=np.float64)
             return np.exp(lam * (t - 1.0)) * np.expm1(-lam * t) / np.expm1(-lam)
+        if self.kind == "size_biased":
+            # W(t) / W(1) is t^(lam+1): W(t) = t^(lam+1) / (lam+1) would round a sub-normal one to 0.
+            return np.power(np.asarray(t, dtype=np.float64), self.param + 1.0)
         total = self.total_weight()
         if total <= 0.0:
             raise DegenerateWeightError("weight function integrates to zero")

@@ -12,6 +12,7 @@ identities are not at stake.
 from __future__ import annotations
 
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -167,6 +168,19 @@ def outcome(query, *args) -> str:
         return repr(query(*args))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def unpickled_out_of_band(obj):
+    """``obj`` pickled under protocol 5 with its arrays out of band, loaded over
+    caller-held ``bytearray`` copies of them, which are then overwritten with NaN bytes."""
+    buffers = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    assert buffers, "no array was pickled out of band"
+    held = [bytearray(buf.raw()) for buf in buffers]
+    loaded = pickle.loads(data, buffers=held)
+    for buf in held:
+        buf[:] = b"\xff" * len(buf)
+    return loaded
 
 
 def negate(f: SampledFunction) -> SampledFunction:

@@ -40,6 +40,7 @@ from helpers import (
     neg_part,
     outcome,
     pos_part,
+    unpickled_out_of_band,
 )
 
 
@@ -97,11 +98,15 @@ class TestSampledFunctionValidation:
         assert f.ys.tolist() == [0.0, 1.0, 0.0]
         assert loi(f) == 1.0
 
-    def test_a_frozen_array_is_kept(self):
-        f = SampledFunction([0.0, 1.0], [0.0, 1.0])
-        g = SampledFunction(f.xs, f.ys)
-        assert g.xs is f.xs and g.ys is f.ys
-        assert dataclasses.replace(f).ys is f.ys
+    def test_a_rewrapped_function_holds_its_own_frozen_arrays(self):
+        f = SampledFunction([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        assert (loi(f), loi_p(f, 2.0)) == (1.0, 1.0)
+        for g in (SampledFunction(f.xs, f.ys), dataclasses.replace(f), copy.copy(f)):
+            for arr, own in ((g.xs, f.xs), (g.ys, f.ys)):
+                assert not np.shares_memory(arr, own)
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+            assert (g.ys.tolist(), loi(g), loi_p(g, 2.0)) == ([0.0, 1.0, 0.0], 1.0, 1.0)
 
     def test_a_frozen_array_cannot_be_made_writeable(self):
         f = SampledFunction([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
@@ -127,12 +132,13 @@ class TestSampledFunctionValidation:
         xs = np.linspace(0.0, 1.0, 200)
         f = SampledFunction(xs, np.sin(20.0 * xs))
         want = (loi(f), loi_p(f, 2.0))
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            g = pickle.loads(pickle.dumps(f, protocol=protocol))
+        copies = [pickle.loads(pickle.dumps(f, protocol=protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        # Protocol 5 out of band: the loaded arrays lie over the caller's buffers, overwritten after loading.
+        for g in copies + [unpickled_out_of_band(f)]:
             for arr in (g.xs, g.ys):
                 with pytest.raises(ValueError):
                     arr.flags.writeable = True
-            assert (loi(g), loi_p(g, 2.0)) == want
+            assert (g.ys.tolist(), loi(g), loi_p(g, 2.0)) == (f.ys.tolist(), *want)
 
     def test_a_writeable_array_over_bytes_is_copied(self):
         # What the unpickler makes of an array over 1000 bytes under protocols 0-4,

@@ -35,7 +35,14 @@ from monotonia import (
     total_variation,
 )
 
-from helpers import assert_close, continuous_function, dyadic_function, dyadic_functions, outcome
+from helpers import (
+    assert_close,
+    continuous_function,
+    dyadic_function,
+    dyadic_functions,
+    outcome,
+    unpickled_out_of_band,
+)
 
 ATOMS = DiscreteSignedMeasure.from_atoms([(0.0, 2.0), (1.0, -1.0), (2.5, 0.5), (3.0, -0.25)])
 GRID = GridDensityMeasure([1.0, 2.0, 0.5], [3.0, -2.0, 0.0])
@@ -425,6 +432,12 @@ def fresh(nu):
     return GridDensityMeasure._of(nu.lengths, nu.densities, nu.masses)
 
 
+def _arrays(nu) -> tuple[np.ndarray, ...]:
+    if isinstance(nu, DiscreteSignedMeasure):
+        return nu.locations, nu.weights
+    return nu.lengths, nu.densities, nu.masses
+
+
 class TestSplitMemo:
     """A measure reduces its masses once, on first use; dg takes the split of g."""
 
@@ -470,7 +483,14 @@ class TestSplitMemo:
             assert outcome(query, nu) == outcome(query, fresh(nu)), name
 
     def test_a_constructed_measure_cannot_be_made_writeable(self):
-        for arr in (ATOMS.locations, ATOMS.weights, GRID.lengths, GRID.densities, GRID.masses):
+        dg = derivative(SampledFunction([0.0, 1.0, 2.5, 3.0], [0.0, 2.0, -1.0, 0.5]))
+        grid_parts, atom_parts = jordan(GRID), jordan(ATOMS)
+        arrays = [*_arrays(ATOMS)]
+        for nu in (GRID, dg, grid_parts.positive_part, grid_parts.negative_part):
+            arrays += _arrays(nu)
+        for pair in (atom_parts, grid_parts):
+            arrays += [pair.hahn_positive, pair.hahn_negative]
+        for arr in arrays:
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
 
@@ -483,15 +503,17 @@ class TestSplitMemo:
             want = positivity_report(nu)
             copies = [pickle.loads(pickle.dumps(nu, protocol=4)), pickle.loads(pickle.dumps(nu)),
                       copy.deepcopy(nu), copy.copy(nu)]
+            if nu is ATOMS or nu is large:
+                # Loaded over the caller's buffers, which are overwritten after loading.
+                copies.append(unpickled_out_of_band(nu))
             for copied in copies:
                 mixed = isinstance(copied, MixedSignedMeasure)
                 parts = (copied.discrete, copied.grid) if mixed else (copied,)
-                for part in parts:
+                for part, source in zip(parts, (nu.discrete, nu.grid) if mixed else (nu,)):
                     # A shallow copy of a mixed measure shares its frozen parts.
                     assert part._split is None or (mixed and part in (nu.discrete, nu.grid))
-                    arrays = (part.locations, part.weights) if isinstance(part, DiscreteSignedMeasure) else (
-                        part.lengths, part.densities, part.masses)
-                    for arr in arrays:
+                    for arr, kept in zip(_arrays(part), _arrays(source)):
+                        assert arr.tolist() == kept.tolist()
                         with pytest.raises(ValueError):
                             arr.flags.writeable = True
                 assert positivity_report(copied) == want

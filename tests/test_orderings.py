@@ -85,6 +85,12 @@ class TestSurvivalCurveShape:
         assert plus.tail_lengths.tolist() == [1.0]
         assert plus.integral() == lod(TENT) == 1.0
 
+    def test_curve_arrays_cannot_be_made_writeable(self):
+        for curve in (survival_minus(TENT), survival_plus(TENT)):
+            for arr in (curve.breaks, curve.tail_lengths):
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+
     def test_multilevel_curve(self):
         # Slopes -3, 1, -1, -3, 2 over lengths 0.5, 1, 2, 0.25, 1: the negative
         # part takes value 3 on measure 0.75 and value 1 on measure 2.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -59,6 +60,17 @@ class TestEmpiricalDistribution:
         assert ed.n == 3
         with pytest.raises(ValueError):
             ed.values[0] = 0.0
+
+    def test_the_sample_is_copied_once(self):
+        sample = np.random.default_rng(11).normal(size=100_000)
+        tracemalloc.start()
+        try:
+            ed = EmpiricalDistribution(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sample.nbytes
+        assert ed.values.tolist() == np.sort(sample, kind="stable").tolist()
 
     def test_mean(self):
         assert QUARTET.mean() == 2.5
@@ -562,9 +574,10 @@ class TestLoadingReport:
         assert_close(rep.premium, 2.5)
 
     def test_a_ratio_beyond_float64_is_an_input_error(self):
-        # size_biased(1040) gives the lower block a weight of about 1e-314.
-        with pytest.raises(InvalidInputError, match=r"^the gain-loss ratio 0\.5 / .* overflows float64$"):
-            loading_report(EmpiricalDistribution([0.0, 1.0]), WeightSpec.size_biased(1040.0))
+        # The lower block weighs 0.5**(lam + 1), about 4e-314 or 1e-321: a loss, not the zero of "nothing lost".
+        for lam in (1040.0, 1065.0):
+            with pytest.raises(InvalidInputError, match=r"^the gain-loss ratio 0\.5 / .* overflows float64$"):
+                loading_report(EmpiricalDistribution([0.0, 1.0]), WeightSpec.size_biased(lam))
 
     def test_three_predicates_are_consistent(self):
         rng = np.random.default_rng(990)
