@@ -2,7 +2,9 @@
 
 Every index is a finite sum over cells.  A linear index sums a part H (the
 negative or the positive part) of signed cell masses: the increments Δy of
-a sampled function, the weights of atoms, the masses of grid cells.
+a sampled function, the weights of atoms, the masses of grid cells, and in
+``risk`` the masses of g·dx (one per cell of g, two where g crosses zero)
+and of (quantile - mean)·weight (one per quantile block).
 ``sign_split_sums`` gives both parts and their total in one call.  The
 powered index sums ``length * H(value)**p`` over the cells of a
 piecewise-constant density, with its lengths and values, for the negative

@@ -16,6 +16,7 @@ equivalent ratio forms of the same sign condition.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     NumericalInvariantError,
     UndefinedRatioError,
 )
+from . import _backend
 from .functions import SampledFunction, _as_float_array, _as_sampled, _freeze
 
 __all__ = [
@@ -77,7 +79,13 @@ class EmpiricalDistribution:
         return self.values.shape[0]
 
     def mean(self) -> float:
-        return float(np.mean(self.values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(self.values))
+        if not math.isfinite(mean):
+            # A partial sum overflows: scaled by 2**-k with 2**k >= n, exactly, none can.
+            k = (self.n - 1).bit_length()
+            mean = math.ldexp(float(np.mean(np.ldexp(self.values, -k))), k)
+        return mean
 
     def quantile(self, p: float) -> float:
         """The smallest sample value x with F(x) >= p, for p in (0, 1]."""
@@ -274,11 +282,20 @@ def v_theta(ed: EmpiricalDistribution) -> tuple[SampledFunction, float]:
     n = ed.n
     vals = np.zeros(n + 1)
     tol = 0.0
+    scale = 1.0
     if ed.values[0] != ed.values[-1]:
         # v(i/n) = i (n - i) / n^2 * (mean of the top n - i - mean of the bottom i).
         # v is unchanged by a shift; centred at a middle order statistic, the
         # partial sums do not cancel.
-        centred = ed.values - ed.values[n // 2]
+        with np.errstate(over="ignore"):
+            centred = ed.values - ed.values[n // 2]
+        if max(-centred[0], centred[-1]) > sys.float_info.max / (n * n):
+            # A partial sum, or the product by i (n - i), could leave float64:
+            # centre the order statistics scaled by 2**-k, 2**k >= n**2, which
+            # keeps the bits of every normal result, and scale v back.
+            k = 2 * (n - 1).bit_length()
+            scale = math.ldexp(1.0, k)
+            centred = np.ldexp(ed.values, -k) - math.ldexp(ed.values[n // 2], -k)
         i = np.arange(1, n, dtype=np.float64)
         rest = i[::-1]  # n - i
         inner = np.cumsum(centred[:0:-1])[::-1] / rest
@@ -287,7 +304,9 @@ def v_theta(ed: EmpiricalDistribution) -> tuple[SampledFunction, float]:
         vals[1:-1] = inner / float(n) ** 2
         # Each mean is within (count + 1) u max|centred| of its exact value, so
         # v, at most a quarter of their difference, is within this of its own.
-        tol = (n + 4) * 2.0**-53 * max(-centred[0], centred[-1])
+        tol = scale * ((n + 4) * 2.0**-53 * max(-centred[0], centred[-1]))
+    theta = scale * (float(np.sum(vals)) / n)
+    vals *= scale
     if np.min(vals) < -tol:
         raise NumericalInvariantError(
             f"tail covariance dipped below tolerance: min {np.min(vals)!r}"
@@ -295,7 +314,7 @@ def v_theta(ed: EmpiricalDistribution) -> tuple[SampledFunction, float]:
     if vals[0] != 0.0 or vals[-1] != 0.0:
         raise NumericalInvariantError("tail covariance must vanish at both endpoints")
     knots = np.arange(n + 1, dtype=np.float64) / n
-    return SampledFunction(knots, vals), float(np.sum(vals)) / n
+    return SampledFunction(knots, vals), theta
 
 
 def _half_product(*factors: np.ndarray) -> np.ndarray:
@@ -317,13 +336,13 @@ def _half_product(*factors: np.ndarray) -> np.ndarray:
 def _value_split(g: SampledFunction) -> tuple[float, float]:
     """Exact integrals of the positive and negative parts of the values of g.
 
-    Cells where the sign changes are split at the interpolated root, so both
-    areas are exact for the piecewise-linear model.  A cell whose width, or
-    whose a + b or a − b, overflows is computed from halved widths or values,
-    which cannot, and its parts are doubled back.  Each part is formed by
-    ``_half_product``, so only a part that is itself below float64 rounds to
-    0.  Raises where the integral of a part itself overflows float64, or
-    underflows it: a part is positive wherever g has an ordinate of its sign.
+    They are the parts of the measure g·dx: a mass per cell, split in two at
+    the interpolated root where the sign changes, so both are exact for the
+    piecewise-linear model.  A cell whose width, or a + b or a − b, overflows
+    is formed from halves and doubled back, and each mass by ``_half_product``,
+    so only a mass below float64 rounds to 0.  Raises ``InvalidInputError``
+    where a part overflows float64, or underflows it though g has an ordinate
+    of its sign.
     """
     xs, a, b = g.xs, g.ys[:-1], g.ys[1:]
     with np.errstate(over="ignore"):
@@ -336,36 +355,32 @@ def _value_split(g: SampledFunction) -> tuple[float, float]:
         a = np.where(tall, 0.5 * a, a)
         b = np.where(tall, 0.5 * b, b)
         scale = np.where(wide, 2.0, 1.0) * np.where(tall, 2.0, 1.0)
-    pos = np.zeros_like(h)
-    neg = np.zeros_like(h)
-
-    both_pos = (a >= 0.0) & (b >= 0.0)
-    both_neg = (a <= 0.0) & (b <= 0.0)
-    # Only a part that exceeds float64 overflows here; its sum then raises below.
+    crossing = np.sign(a) * np.sign(b) < 0.0
+    ac, bc, hc = a[crossing], b[crossing], h[crossing]
+    # Only a mass that exceeds float64 overflows here; its part then raises in ``_parts``.
     with np.errstate(over="ignore"):
-        pos[both_pos] = _half_product(h[both_pos], a[both_pos] + b[both_pos])
-        neg[both_neg] = -_half_product(h[both_neg], a[both_neg] + b[both_neg])
+        masses = _half_product(h, a + b)
+        # A crossing cell keeps its part of a's sign and appends that of b's,
+        # split at fractions t and s = 1 - t of the cell, each a quotient:
+        # 1.0 - t loses s to cancellation once t rounds to 1 (|b| < 1e-16 |a|).
+        masses[crossing] = _half_product(hc, ac / (ac - bc), ac)
+        second = _half_product(hc, bc / (bc - ac), bc)
+        masses = np.concatenate((masses * scale, second * np.broadcast_to(scale, h.shape)[crossing]))
+    return _parts(masses, np.max(g.ys) > 0.0, np.min(g.ys) < 0.0, "g")
 
-        crossing = ~(both_pos | both_neg)
-        if np.any(crossing):
-            ac, bc, hc = a[crossing], b[crossing], h[crossing]
-            # The root splits the cell at fractions t and s = 1 - t, each
-            # formed as a quotient: 1.0 - t loses s to cancellation once t
-            # rounds to 1, as where |b| is below 1e-16 |a|.
-            t = ac / (ac - bc)
-            s = bc / (bc - ac)
-            first = _half_product(hc, t, ac)
-            second = _half_product(hc, s, bc)
-            pos[crossing] = np.where(ac > 0.0, first, second)
-            neg[crossing] = np.where(ac > 0.0, -second, -first)
-        totals = float(np.sum(pos * scale)), float(np.sum(neg * scale))
-    nonzero = (np.max(g.ys) > 0.0, np.min(g.ys) < 0.0)
-    for part, total, part_nonzero in zip(("positive", "negative"), totals, nonzero):
+
+def _parts(masses: np.ndarray, has_pos: bool, has_neg: bool, of: str) -> tuple[float, float]:
+    """(positive, negative) part of the one-signed ``masses`` of ``of``, which raises where it leaves float64.
+
+    A part underflows where it is 0.0 but ``has_pos`` or ``has_neg`` says it is not.
+    """
+    neg, pos, _ = _backend.sign_split_sums(masses)
+    for part, total, nonzero in (("positive", pos, has_pos), ("negative", neg, has_neg)):
         if math.isinf(total):
-            raise InvalidInputError(f"the integral of the {part} part of g overflows float64")
-        if total == 0.0 and part_nonzero:
-            raise InvalidInputError(f"the integral of the {part} part of g underflows float64")
-    return totals
+            raise InvalidInputError(f"the integral of the {part} part of {of} overflows float64")
+        if total == 0.0 and nonzero:
+            raise InvalidInputError(f"the integral of the {part} part of {of} underflows float64")
+    return pos, neg
 
 
 def _ratios(pos: float, neg: float) -> tuple[float, float]:
@@ -425,6 +440,9 @@ class LoadingReport:
     the integral of the positive part of (quantile - mean) * weight and the
     loss part its negative counterpart.  They are None when that product
     vanishes identically (constant samples), where no ratio is defined.
+    ``loading_report`` raises ``InvalidInputError`` where a part overflows
+    float64, or underflows it though a block of positive weight lies on its
+    side of the mean, or where the gain-loss ratio overflows.
     """
 
     premium: float
@@ -441,11 +459,19 @@ def loading_report(ed: EmpiricalDistribution, w: WeightSpec) -> LoadingReport:
     prem = _premium(ed, blocks)
     net = ed.mean()
     cov = _covariance(ed, w, prem)
-    sample_range = float(ed.values[-1] - ed.values[0])
-    tol = 1e-9 * sample_range
-    centered = ed.values - net
-    gains = float(np.sum(np.maximum(centered, 0.0) * blocks))
-    losses = float(np.sum(np.maximum(-centered, 0.0) * blocks))
+    # Formed from halves, the tolerance stays finite where the range exceeds float64.
+    tol = 2e-9 * float(0.5 * ed.values[-1] - 0.5 * ed.values[0])
+    # Only a mass that exceeds float64 overflows here; its part then raises in ``_parts``.
+    with np.errstate(over="ignore"):
+        centered = ed.values - net
+        if np.isinf(centered[0]) or np.isinf(centered[-1]):
+            # A range beyond float64: the masses are formed from halves and doubled back.
+            masses = 2.0 * ((0.5 * ed.values - 0.5 * net) * blocks)
+        else:
+            masses = centered * blocks
+    # The sorted values below the mean, and those above it, are the blocks of each sign.
+    below, above = np.searchsorted(ed.values, net, "left"), np.searchsorted(ed.values, net, "right")
+    gains, losses = _parts(masses, blocks[above:].any(), blocks[:below].any(), "(quantile - mean) * weight")
     if gains == 0.0 and losses == 0.0:
         glr, omega = None, None
     else:

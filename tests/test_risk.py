@@ -29,9 +29,10 @@ from monotonia import (
     quantile,
     v_theta,
 )
-from monotonia.risk import _value_split
+from monotonia import _backend, risk
+from monotonia.risk import _block_weights, _value_split
 
-from helpers import assert_close
+from helpers import assert_close, assert_sum_within_bound
 
 QUARTET = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
 SINGLE = EmpiricalDistribution([7.0])
@@ -359,6 +360,31 @@ class TestVTheta:
         _, theta = v_theta(QUARTET)
         assert theta > 0.0
 
+    def test_a_range_beyond_float64_gives_the_true_knots(self):
+        x = 1.7e308
+        fn, theta = v_theta(EmpiricalDistribution([-x, x]))
+        assert fn.ys.tolist() == [0.0, 0.5 * x, 0.0]
+        assert theta == 0.25 * x
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-1.7e308, 1.7e308],
+            [-1.7e308, 1.7e308, 1.7e308],
+            [-1.7e308, -1.7e308, 1.7e308, 1.7e308],
+            # The centring stays finite, but the partial sums would not.
+            [-5e307] * 10 + [5e307] * 10,
+            [-1e305] * 1000 + [0.5, 3.0] + [1e305] * 999,
+        ],
+    )
+    def test_extreme_samples_give_the_scaled_bits(self, values):
+        # Scaling a sample by a power of two scales v and theta exactly,
+        # also where the large sample is centred from scaled order statistics.
+        fn, theta = v_theta(EmpiricalDistribution(values))
+        small_fn, small_theta = v_theta(EmpiricalDistribution(np.array(values) * 2.0**-40))
+        assert fn.ys.tolist() == (small_fn.ys * 2.0**40).tolist()
+        assert theta == small_theta * 2.0**40
+
     def test_grid_size_is_not_a_parameter(self):
         with pytest.raises(TypeError):
             v_theta(COIN, quad_n=10_000)
@@ -540,6 +566,27 @@ class TestGainLossReport:
         part = float(Fraction(5e-324) * Fraction(1e300) / 4)
         assert _value_split(SampledFunction([0.0, 5e-324], [1e300, -1e300])) == (part, part)
 
+    def test_one_reduction(self, split_calls):
+        gain_loss_report(SampledFunction([0.0, 1.0, 2.0, 3.0], [1.0, -2.0, -1.0, 3.0]))
+        # Three cells and the far parts of the two crossing cells.
+        assert split_calls == [5]
+
+    def test_parts_are_within_the_backend_bound_of_the_masses(self):
+        rng = np.random.default_rng(3333)
+        for n in (1, 2, 7, _backend.BLOCK - 1, _backend.BLOCK + 1, 3 * _backend.BLOCK + 5):
+            xs = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, n))))
+            ys = rng.uniform(-3.0, 3.0, n + 1)
+            a, b, h = ys[:-1], ys[1:], np.diff(xs)
+            crossing = a * b < 0.0
+            t = a / (a - b)
+            # Whole cells, and each crossing cell split at its root into a part of a's sign and one of b's.
+            masses = np.concatenate(
+                (np.where(crossing, 0.5 * h * t * a, 0.5 * h * (a + b)), (0.5 * h * (1.0 - t) * b)[crossing])
+            ).tolist()
+            pos, neg = _value_split(SampledFunction(xs, ys))
+            assert_sum_within_bound(pos, [m for m in masses if m > 0.0])
+            assert_sum_within_bound(neg, [-m for m in masses if m < 0.0])
+
     def test_a_ratio_beyond_float64_is_an_input_error(self):
         # Gains of 1.5e300 over losses of 5e-11: the ratio is no "nothing negative" infinity.
         with pytest.raises(InvalidInputError) as excinfo:
@@ -578,6 +625,68 @@ class TestLoadingReport:
         for lam in (1040.0, 1065.0):
             with pytest.raises(InvalidInputError, match=r"^the gain-loss ratio 0\.5 / .* overflows float64$"):
                 loading_report(EmpiricalDistribution([0.0, 1.0]), WeightSpec.size_biased(lam))
+
+    def test_a_loss_below_float64_is_an_input_error(self):
+        # At lam = 1073 the lower block weighs 2**-1074 and its loss, 0.5 * 2**-1074, rounds to 0.
+        with pytest.raises(InvalidInputError) as excinfo:
+            loading_report(EmpiricalDistribution([0.0, 1.0]), WeightSpec.size_biased(1073.0))
+        assert str(excinfo.value) == "the integral of the negative part of (quantile - mean) * weight underflows float64"
+
+    def test_a_part_beyond_float64_is_an_input_error(self):
+        # The top block carries nearly all the weight, and its gain is about 1.1e308 * 2.
+        with pytest.raises(InvalidInputError) as excinfo:
+            loading_report(EmpiricalDistribution([-1.7e308, -1.7e308, 1.7e308]), WeightSpec.size_biased(1000.0))
+        assert str(excinfo.value) == "the integral of the positive part of (quantile - mean) * weight overflows float64"
+
+    @pytest.mark.parametrize(
+        "values, w",
+        [
+            # The range, and so the old tolerance 1e-9 * range, overflows.
+            ([-1.7e308, 1.7e308], WeightSpec.proportional_hazards(2.0)),
+            # np.mean overflows.
+            ([1.6e308, 1.7e308, 1.7e308], WeightSpec.esscher(0.8)),
+            # quantile - mean overflows.
+            ([-1.7e308, 1.7e308, 1.7e308], WeightSpec.esscher(0.8)),
+        ],
+    )
+    def test_extreme_samples_give_the_scaled_report(self, values, w):
+        # Scaling the sample by a power of two scales the premiums and the
+        # covariance exactly, and leaves the verdict and the ratios as they are.
+        rep = loading_report(EmpiricalDistribution(values), w)
+        small = loading_report(EmpiricalDistribution(np.array(values) * 2.0**-10), w)
+        assert (rep.premium, rep.net_premium, rep.covariance) == tuple(
+            v * 2.0**10 for v in (small.premium, small.net_premium, small.covariance)
+        )
+        assert (rep.loading_nonneg, rep.gain_loss_ratio, rep.omega_style_ratio) == (
+            small.loading_nonneg,
+            small.gain_loss_ratio,
+            small.omega_style_ratio,
+        )
+        assert rep.loading_nonneg is (rep.covariance >= 0.0)
+        assert rep.loading_nonneg is (rep.gain_loss_ratio >= 1.0)
+
+    def test_mean_of_a_sample_whose_sum_overflows(self):
+        ed = EmpiricalDistribution([1.6e308, 1.7e308, 1.7e308])
+        assert ed.mean() == EmpiricalDistribution([1.6e308 / 4, 1.7e308 / 4, 1.7e308 / 4]).mean() * 4
+        assert_close(ed.mean(), float(sum(map(Fraction, ed.values.tolist())) / 3), rel=1e-15, abs_=0.0)
+
+    def test_one_reduction(self, split_calls):
+        loading_report(QUARTET, WeightSpec.esscher(0.8))
+        assert split_calls == [4]
+
+    def test_parts_keep_the_bits_of_the_masked_sums(self, monkeypatch):
+        parts = []
+        monkeypatch.setattr(risk, "_ratios", lambda gains, losses: parts.append((gains, losses)) or (1.0, 0.5))
+        rng = np.random.default_rng(4444)
+        for n in (2, 3, 100, _backend.BLOCK):
+            ed = EmpiricalDistribution(rng.normal(size=n))
+            for w in (WeightSpec.esscher(0.8), WeightSpec.proportional_hazards(2.0), WeightSpec.indicator(0.3)):
+                loading_report(ed, w)
+                blocks = _block_weights(ed, w)
+                centered = ed.values - ed.mean()
+                gains = float(np.sum(np.maximum(centered, 0.0) * blocks))
+                losses = float(np.sum(np.maximum(-centered, 0.0) * blocks))
+                assert parts.pop() == (gains, losses)
 
     def test_three_predicates_are_consistent(self):
         rng = np.random.default_rng(990)
