@@ -19,9 +19,11 @@ do not change, and a function's answers are kept on it as scalars, each
 computed on the first call that needs it: its sign split (the NEG and POS
 sums of its increments and their total), which ``loi``, ``lod``, ``lom``,
 ``total_variation``, the normalised indices, ``report`` and the index
-comparisons all read, and ``loi_p`` at each exponent p ≠ 1.  Once the split
-is kept, its derivative measure takes it over.  The survival curves and
-``derivative`` still do their work on every call.  Vertical jumps are not
+comparisons all read, ``loi_p`` at each exponent p ≠ 1, and whether every
+difference quotient is finite, which ``derivative`` checks once.  The
+derivative measure dg is a view of g that forms its arrays on first read,
+and g and dg share one split, whichever of them is asked for it first.  The
+survival curves still do their work on every call.  Vertical jumps are not
 representable: duplicate abscissas are rejected and callers must
 pre-process data with ties.
 """
@@ -76,11 +78,14 @@ class SampledFunction:
     ys: np.ndarray
 
     # The sign split of the increments, (neg, pos, tv), set on first use by
-    # ``_increment_split``, and ``loi_p`` by exponent, a dict set on first use
-    # by ``indices._loi_p``.  Not fields: ``dataclasses.replace`` and
-    # ``restrict`` make a new function, which computes its own.
+    # ``_increment_split``; ``loi_p`` by exponent, a dict set on first use by
+    # ``indices._loi_p``; and the first cell whose difference quotient
+    # overflows, or -1 where none does, set by ``measures.derivative``.  Not
+    # fields: ``dataclasses.replace`` and ``restrict`` make a new function,
+    # which computes its own.
     _split = None
     _loi_p = None
+    _overflow_cell = None
 
     def __post_init__(self):
         xs = _as_float_array(self.xs, "xs")

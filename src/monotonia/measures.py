@@ -12,10 +12,12 @@ the measure dg with density g', recovers the function-level indices exactly.
 A measure is frozen like a function, so it keeps its sign split (the mass
 below zero, the mass above it and their total), reduced on the first index
 that needs it; every positivity index and ``total_variation`` read it, and
-a mixed measure sums the splits of its parts.  ``derivative(g)`` hands dg
-the split of g where g keeps one; it is the same reduction of the same
-increments, so lop(dg) = loi(g) holds bit for bit either way.
-``derivative`` itself still forms its arrays on every call.
+a mixed measure sums the splits of its parts.  ``derivative(g)`` returns
+dg as a view of g: it holds g alone and forms its lengths, densities and
+masses on first read.  dg's masses are g's increments, so g and dg share
+one split, kept on g and reduced by whichever of them is asked first, and
+lop(dg) = loi(g) holds bit for bit.  A query that reads only the split,
+such as ``lop(derivative(g))``, forms no array.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import _backend
 from .errors import InvalidInputError, UndefinedIndexError
-from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _freeze
+from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _freeze, _increment_split
 from .indices import _indices
 
 __all__ = [
@@ -122,8 +124,11 @@ class GridDensityMeasure:
     densities: np.ndarray
     masses: np.ndarray = field(init=False, repr=False)
 
-    # The sign split of the masses, set on first use by ``_split_measure``.
+    # The sign split of the masses, set on first use by ``_split_measure``,
+    # and the function g of dg, set by ``derivative``, whose arrays are
+    # formed from g on first read and whose split is g's.
     _split = None
+    _function = None
 
     def __post_init__(self):
         lengths = _as_float_array(self.lengths, "lengths")
@@ -168,6 +173,16 @@ class GridDensityMeasure:
         """
         return cls._of(*(np.array(arr, dtype=np.float64) for arr in (lengths, densities, masses)))
 
+    def __getattr__(self, name):
+        # Called only for a missing attribute: the arrays of dg before their first read.
+        if self._function is None or name not in _ARRAYS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        arrays = dict(zip(_ARRAYS, map(_freeze, _derived_arrays(self._function))))
+        for key, value in arrays.items():
+            # Racing threads may each set their own arrays, with the same bits.
+            object.__setattr__(self, key, value)
+        return arrays[name]
+
     def __reduce__(self):
         # Built again from its arrays, masses included: those of dg are Δy, not lengths · densities.
         return type(self)._rebuilt, (self.lengths, self.densities, self.masses)
@@ -176,21 +191,35 @@ class GridDensityMeasure:
         return positivity_report(self).tv
 
 
-def derivative(g: SampledFunction) -> GridDensityMeasure:
-    """The derivative measure dg: density g' = Δy/Δx on the cells of g, mass Δy = g(b) − g(a) on [a, b]."""
-    f = _as_sampled(g)
+_ARRAYS = ("lengths", "densities", "masses")
+
+
+def _derived_arrays(f: SampledFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lengths, densities, masses) of df, fresh arrays: Δx, Δy/Δx and Δy."""
     with np.errstate(all="ignore"):
         lengths = np.diff(f.xs)
         masses = np.diff(f.ys)
         densities = masses / lengths
-    finite = np.isfinite(lengths) & np.isfinite(densities)
-    if not finite.all():
+    return lengths, densities, masses
+
+
+def derivative(g: SampledFunction) -> GridDensityMeasure:
+    """The derivative measure dg: density g' = Δy/Δx on the cells of g, mass Δy = g(b) − g(a) on [a, b].
+
+    dg is a view of g that forms its arrays on first read.  Raises
+    ``InvalidInputError`` naming the first cell whose difference quotient
+    overflows, checked on the first call and kept on g.
+    """
+    f = _as_sampled(g)
+    if f._overflow_cell is None:
+        lengths, densities, _ = _derived_arrays(f)
+        finite = np.isfinite(lengths) & np.isfinite(densities)
         # Cells of valid samples have positive length: only an overflow leaves one non-finite.
-        i = int(np.argmin(finite))
-        raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64")
-    nu = GridDensityMeasure._of(lengths, densities, masses)
-    # dg's masses are g's increments, so g's split, where kept, is dg's.
-    object.__setattr__(nu, "_split", f._split)
+        object.__setattr__(f, "_overflow_cell", -1 if finite.all() else int(np.argmin(finite)))
+    if f._overflow_cell >= 0:
+        raise InvalidInputError(f"the difference quotient of {_cell(f, f._overflow_cell)} overflows float64")
+    nu = object.__new__(GridDensityMeasure)
+    object.__setattr__(nu, "_function", f)
     return nu
 
 
@@ -257,14 +286,17 @@ def _split_measure(nu) -> tuple[float, float, float]:
     if isinstance(nu, MixedSignedMeasure):
         parts = (_split_measure(nu.discrete), _split_measure(nu.grid))
         return tuple(a + b for a, b in zip(*parts))
-    if isinstance(nu, DiscreteSignedMeasure):
-        masses = nu.weights
-    elif isinstance(nu, GridDensityMeasure):
-        masses = nu.masses
-    else:
+    if not isinstance(nu, (DiscreteSignedMeasure, GridDensityMeasure)):
         raise InvalidInputError(f"not a signed measure representation: {type(nu).__name__}")
+    # Read before any array: the masses of dg are formed only when read.
     if nu._split is None:
-        object.__setattr__(nu, "_split", _backend.sign_split_sums(masses))
+        if isinstance(nu, DiscreteSignedMeasure):
+            split = _backend.sign_split_sums(nu.weights)
+        elif nu._function is not None:
+            split = _increment_split(nu._function)
+        else:
+            split = _backend.sign_split_sums(nu.masses)
+        object.__setattr__(nu, "_split", split)
     return nu._split
 
 

@@ -264,10 +264,22 @@ def loading_covariance(ed: EmpiricalDistribution, w: WeightSpec) -> float:
 
 
 def _covariance(ed: EmpiricalDistribution, w: WeightSpec, prem: float) -> float:
-    """W(1) * (premium - mean), the covariance of the quantile with the unnormalized weight."""
+    """W(1) * (premium - mean), the covariance of the quantile with the unnormalized weight.
+
+    Raises ``InvalidInputError`` where it exceeds float64.
+    """
     if ed.n == 1 or ed.values[0] == ed.values[-1]:
         return 0.0
-    return (prem - ed.mean()) * w.total_weight()
+    mean, total = ed.mean(), w.total_weight()
+    difference = prem - mean
+    if math.isinf(difference):
+        # A range beyond float64: the difference is formed from halves and doubled back.
+        cov = 2.0 * ((0.5 * prem - 0.5 * mean) * total)
+    else:
+        cov = difference * total
+    if math.isinf(cov):
+        raise InvalidInputError("the covariance of the quantile and weight functions overflows float64")
+    return cov
 
 
 def v_theta(ed: EmpiricalDistribution) -> tuple[SampledFunction, float]:

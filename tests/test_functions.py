@@ -120,8 +120,9 @@ class TestSampledFunctionValidation:
     def test_a_copied_or_unpickled_function_is_frozen_and_computes_its_own(self):
         f = SampledFunction([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         assert (loi(f), loi_p(f, 2.0)) == (1.0, 1.0)
+        derivative(f)
         for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
-            assert g._split is None and g._loi_p is None
+            assert g._split is None and g._loi_p is None and g._overflow_cell is None
             for arr in (g.xs, g.ys):
                 with pytest.raises(ValueError):
                     arr.flags.writeable = True
@@ -216,12 +217,31 @@ class TestDerivative:
     )
     def test_overflow_names_the_cell_without_warnings(self, xs, ys, cell):
         # Finite samples whose difference, or difference quotient, leaves float64.
+        # The first call checks every cell; later ones read the kept verdict.
+        errors = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             f = SampledFunction(np.array(xs), np.array(ys))
-            with pytest.raises(InvalidInputError) as excinfo:
-                derivative(f)
-        assert str(excinfo.value) == f"the difference quotient of {cell} overflows float64"
+            for _ in range(3):
+                with pytest.raises(InvalidInputError) as excinfo:
+                    derivative(f)
+                errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors == [(InvalidInputError, f"the difference quotient of {cell} overflows float64")] * 3
+        assert f._overflow_cell == int(cell.split()[1])
+
+    def test_restrict_and_replace_start_without_the_kept_verdict(self):
+        f = SampledFunction([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, -1.0, 0.5])
+        derivative(f)
+        assert f._overflow_cell == -1
+        overflowing = dataclasses.replace(f, ys=[0.0, 1e308, -1e308, 0.0])
+        derived = (f.restrict(0.5, 2.5), dataclasses.replace(f, ys=-f.ys), dataclasses.replace(f), overflowing)
+        for g in derived:
+            assert g._overflow_cell is None
+        with pytest.raises(InvalidInputError, match=r"^the difference quotient of cell 1 on \[1\.0, 2\.0\]"):
+            derivative(overflowing)
+        # And back: a function replaced from one that overflows checks its own cells.
+        assert lop(derivative(dataclasses.replace(overflowing, ys=f.ys))) == 3.0
+        assert lop(derivative(derived[0])) == 3.0
 
     def test_grid_wider_than_float64_without_overflowing_cells(self):
         with warnings.catch_warnings():

@@ -5,6 +5,9 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,6 +467,12 @@ class TestSplitMemo:
         assert (lop(derivative(f)), los(derivative(f))) == (3.0, 6.0)
         assert split_calls == [3]
 
+    def test_the_function_takes_the_split_of_its_derivative_measure(self, split_calls):
+        f = SampledFunction([0.0, 1.0, 2.5, 3.0], [0.0, 2.0, -1.0, 0.5])
+        assert (lop(derivative(f)), los(derivative(f))) == (3.0, 6.0)
+        assert (loi(f), lom(f)) == (3.0, 6.0)
+        assert split_calls == [3]
+
     @pytest.mark.filterwarnings("error")
     def test_the_split_of_dg_is_the_reduction_of_its_masses(self):
         rng = np.random.default_rng(5150)
@@ -517,3 +526,118 @@ class TestSplitMemo:
                         with pytest.raises(ValueError):
                             arr.flags.writeable = True
                 assert positivity_report(copied) == want
+
+
+def eager_arrays(f: SampledFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lengths, densities, masses) of df built at once from the samples: Δx, Δy/Δx and Δy."""
+    lengths, masses = np.diff(f.xs), np.diff(f.ys)
+    return lengths, masses / lengths, masses
+
+
+ARRAY_NAMES = ("lengths", "densities", "masses")
+
+
+def view_functions(sizes=(1, 2, 7, 300, _backend.BLOCK - 1, _backend.BLOCK, _backend.BLOCK + 1)):
+    rng = np.random.default_rng(6060)
+    for n in sizes:
+        xs = rng.uniform(-5.0, 5.0) + np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 3.0, n))))
+        yield SampledFunction(xs, np.cumsum(rng.normal(0.0, 1.0, n + 1)))
+
+
+@pytest.mark.filterwarnings("error")
+class TestDerivativeView:
+    """dg is a view of g: it holds g alone, forms its arrays on first read and shares g's split."""
+
+    def test_arrays_read_first_have_the_bits_of_the_eager_build(self):
+        for f in view_functions():
+            want = [arr.tobytes() for arr in eager_arrays(f)]
+            for first in ARRAY_NAMES:
+                dg = derivative(f)
+                assert (lop(dg), lon(dg)) == (loi(f), lod(f))
+                assert not set(ARRAY_NAMES) & set(vars(dg))
+                read = getattr(dg, first)
+                assert [arr.tobytes() for arr in _arrays(dg)] == want
+                assert getattr(dg, first) is read
+                for arr in _arrays(dg):
+                    assert arr.dtype == np.float64
+                    with pytest.raises(ValueError):
+                        arr.flags.writeable = True
+
+    def test_repr_and_jordan_parts_read_the_arrays(self):
+        for f in view_functions((1, 7, 300)):
+            eager = GridDensityMeasure._of(*eager_arrays(f))
+            assert repr(derivative(f)) == repr(eager)
+            got, want = jordan(derivative(f)), jordan(eager)
+            for part, kept in ((got.positive_part, want.positive_part), (got.negative_part, want.negative_part)):
+                assert [arr.tobytes() for arr in _arrays(part)] == [arr.tobytes() for arr in _arrays(kept)]
+            assert got.hahn_negative.tolist() == want.hahn_negative.tolist()
+
+    def test_copies_of_a_never_read_view_answer_like_it(self):
+        copiers = {
+            "pickle 4": lambda nu: pickle.loads(pickle.dumps(nu, protocol=4)),
+            "pickle 5": lambda nu: pickle.loads(pickle.dumps(nu, protocol=5)),
+            "out of band": unpickled_out_of_band,
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+        }
+        for f in view_functions((1, 7, 300, _backend.BLOCK + 1)):
+            want = [outcome(query, derivative(f)) for query in MEASURE_QUERIES.values()]
+            arrays = [arr.tobytes() for arr in eager_arrays(f)]
+            for name, copier in copiers.items():
+                copied = copier(derivative(f))
+                assert copied._function is None, name
+                assert [outcome(query, copied) for query in MEASURE_QUERIES.values()] == want, name
+                assert [arr.tobytes() for arr in _arrays(copied)] == arrays, name
+                for arr in _arrays(copied):
+                    with pytest.raises(ValueError):
+                        arr.flags.writeable = True
+
+    def test_threads_that_race_read_the_same_bytes(self):
+        f = next(view_functions((_backend.BLOCK + 1,)))
+        want = [arr.tobytes() for arr in eager_arrays(f)]
+        dg = derivative(f)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def work(k):
+            barrier.wait(timeout=10)
+            # Each thread reads the arrays in its own order.
+            names = ARRAY_NAMES[k % 3 :] + ARRAY_NAMES[: k % 3]
+            read = {name: getattr(dg, name).tobytes() for name in names}
+            results.append([read[name] for name in ARRAY_NAMES])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * 8
+        assert [arr.tobytes() for arr in _arrays(dg)] == want
+
+    def test_a_warm_function_answers_lop_and_los_of_dg_without_an_array(self):
+        f = next(view_functions((100_000,)))
+        ys = f.ys.copy()
+        ys[-2:] = (-1e308, 1e308)
+        overflowing = SampledFunction(f.xs, ys)
+        want = (loi(f), lom(f))
+        # The first calls check the difference quotients; later ones read the kept verdict.
+        derivative(f)
+        with pytest.raises(InvalidInputError) as first:
+            derivative(overflowing)
+        tracemalloc.start()
+        try:
+            got = (lop(derivative(f)), los(derivative(f)))
+            with pytest.raises(InvalidInputError) as later:
+                derivative(overflowing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert str(later.value) == str(first.value)
+        assert peak < 64 * 1024

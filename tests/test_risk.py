@@ -265,6 +265,31 @@ class TestLoadingCovariance:
         assert loading_covariance(CONSTANT, WeightSpec.esscher(1.0)) == 0.0
         assert loading_covariance(SINGLE, WeightSpec.esscher(1.0)) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_covariance_beyond_float64_is_an_input_error(self):
+        # premium - mean is about -2.27e308 and W(1) = 1: the covariance itself leaves float64.
+        ed = EmpiricalDistribution([-1.7e308, 1.7e308, 1.7e308])
+        for query in (loading_covariance, loading_report):
+            with pytest.raises(InvalidInputError) as excinfo:
+                query(ed, WeightSpec.proportional_hazards(50.0))
+            assert str(excinfo.value) == "the covariance of the quantile and weight functions overflows float64"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values, w",
+        [
+            # premium - mean overflows; W(1) = 1/1001, or 0.2, brings the covariance back into range.
+            ([-1.7e308, -1.7e308, 1.7e308], WeightSpec.size_biased(1000.0)),
+            ([-1.7e308, -1.7e308, -1.7e308, 1.7e308], WeightSpec.indicator(0.8)),
+            # premium - mean fits, and so does the covariance.
+            ([-1.7e308, 1.7e308, 1.7e308], WeightSpec.proportional_hazards(2.0)),
+        ],
+    )
+    def test_a_difference_beyond_float64_is_formed_from_halves(self, values, w):
+        # Scaling the sample by a power of two scales the covariance exactly.
+        small = EmpiricalDistribution(np.array(values) * 2.0**-10)
+        assert loading_covariance(EmpiricalDistribution(values), w) == loading_covariance(small, w) * 2.0**10
+
     def test_sign_agrees_with_premium_minus_mean(self):
         rng = np.random.default_rng(404)
         for _ in range(40):
