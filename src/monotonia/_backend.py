@@ -7,12 +7,13 @@ a sampled function, the weights of atoms, the masses of grid cells, and in
 and of (quantile - mean)·weight (one per quantile block).
 ``sign_split_sums`` gives both parts and their total in one call.  The
 powered index sums ``length * H(value)**p`` over the cells of a
-piecewise-constant density, with its lengths and values, for the negative
-part H; ``transform_reduce`` computes it.  Both run over blocks of ``BLOCK``
-(64 Ki) cells: a linear reduction takes the part of a block into one small
-buffer and sums it with ``np.sum``; a powered one gathers the negative cells
-of a block, unless all of them are, and sums their powers against their
-lengths with ``np.dot``.  The block sums are added left to right.
+piecewise-constant density, for the negative part H only, and
+``transform_reduce(values, p, lengths)`` computes it.  Both run over blocks
+of ``BLOCK`` (64 Ki) cells: a linear reduction takes the part of a block
+into one small buffer and sums it with ``np.sum``; a powered one gathers the
+negative cells of a block, unless all of them are, and sums their powers
+against their lengths with ``np.dot``.  The block sums are added left to
+right.
 
 Accuracy: over n cells the result differs from the exact sum of the terms
 by at most (n + 1)·u·Σ|terms|, u = 2**-53.  A linear term is a cell mass
@@ -36,11 +37,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# NEG and POS index the negative and positive masses in a sign split;
-# NEG_POW, the one code of ``transform_reduce``, raises the negative part to a power p.
+# NEG and POS index the negative and positive masses in a sign split.
 NEG = 0
 POS = 1
-NEG_POW = 2
 
 
 # Every reduction runs over blocks of this many cells of its input, summing
@@ -92,15 +91,13 @@ def _powered_sum(values: np.ndarray, p: float, lengths: np.ndarray | None) -> fl
         return float(np.dot(lengths, bases)) + 0.0
 
 
-def transform_reduce(values: np.ndarray, code: int, p: float = 1.0, lengths: np.ndarray | None = None) -> float:
-    """Sum over cells of ``length * H(value)**p``, H the negative part: ``code`` must be NEG_POW.
+def transform_reduce(values: np.ndarray, p: float, lengths: np.ndarray | None = None) -> float:
+    """Sum over cells of ``length * H(value)**p``, H the negative part.
 
     It takes the values of a density and their cell ``lengths``, or unit
     lengths when ``lengths`` is None.  The linear sums come from
     ``sign_split_sums``.
     """
-    if code != NEG_POW:
-        raise ValueError(f"unknown transform code {code}")
     total = 0.0
     for start in range(0, values.shape[0], BLOCK):
         block_lengths = None if lengths is None else lengths[start : start + BLOCK]

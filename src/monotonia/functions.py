@@ -14,18 +14,18 @@ as a grid measure, with the increments as its masses.
 A ``SampledFunction`` is frozen, like every array that an object of the
 package holds: construction copies the caller's samples once, and
 ``_freeze`` wraps the copies, with no second copy, in arrays that NumPy
-refuses to make writeable again.  Their owners are private, so the samples
-do not change, and a function's answers are kept on it as scalars, each
-computed on the first call that needs it: its sign split (the NEG and POS
-sums of its increments and their total), which ``loi``, ``lod``, ``lom``,
-``total_variation``, the normalised indices, ``report`` and the index
-comparisons all read, ``loi_p`` at each exponent p ≠ 1, and whether every
-difference quotient is finite, which ``derivative`` checks once.  The
-derivative measure dg is a view of g that forms its arrays on first read,
-and g and dg share one split, whichever of them is asked for it first.  The
-survival curves still do their work on every call.  Vertical jumps are not
-representable: duplicate abscissas are rejected and callers must
-pre-process data with ties.
+refuses to make writeable again.  So answers are kept, by one rule: a
+``_kept`` method is computed on the first read of its name and stored on
+the object by ``object.__setattr__``, with no lock, as racing threads
+compute the same bits (the standard library's cached property measured
+slower; see the README).  A function keeps its sign split (the NEG and POS
+sums of its increments and their total), which every linear index reads,
+``loi_p`` by exponent p ≠ 1, and the first cell whose difference quotient
+overflows, which ``derivative`` checks; a copy, ``restrict`` and
+``dataclasses.replace`` compute their own.  The derivative measure dg is a
+view of g that forms its arrays on first read and shares g's split.
+Vertical jumps are not representable: duplicate abscissas are rejected and
+callers must pre-process data with ties.
 """
 
 from __future__ import annotations
@@ -70,22 +70,28 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return np.frombuffer(memoryview(arr), arr.dtype)
 
 
+class _kept:
+    """A method computed on the first read of its name, its answer kept on the object, where later reads find it."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.method(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
     """A function known through samples ``ys`` on a strictly increasing grid ``xs``."""
 
     xs: np.ndarray
     ys: np.ndarray
-
-    # The sign split of the increments, (neg, pos, tv), set on first use by
-    # ``_increment_split``; ``loi_p`` by exponent, a dict set on first use by
-    # ``indices._loi_p``; and the first cell whose difference quotient
-    # overflows, or -1 where none does, set by ``measures.derivative``.  Not
-    # fields: ``dataclasses.replace`` and ``restrict`` make a new function,
-    # which computes its own.
-    _split = None
-    _loi_p = None
-    _overflow_cell = None
 
     def __post_init__(self):
         xs = _as_float_array(self.xs, "xs")
@@ -110,6 +116,24 @@ class SampledFunction:
         # A copy or an unpickled function is built again, so that its arrays
         # are frozen and it keeps no answer that they did not give.
         return type(self), (self.xs, self.ys)
+
+    @_kept
+    def _split(self) -> tuple[float, float, float]:
+        """``sign_split_sums`` of the increments, raw: each caller checks them for overflow."""
+        return _backend.sign_split_sums(_increments(self))
+
+    @_kept
+    def _loi_p(self) -> dict[float, float]:
+        """``loi_p`` by exponent p ≠ 1, filled by ``indices._loi_p`` with finite indices only."""
+        return {}
+
+    @_kept
+    def _overflow_cell(self) -> int:
+        """The first cell whose difference quotient overflows, or -1 where none does."""
+        lengths, densities, _ = _derived_arrays(self)
+        finite = np.isfinite(lengths) & np.isfinite(densities)
+        # Cells of valid samples have positive length: only an overflow leaves one non-finite.
+        return -1 if finite.all() else int(np.argmin(finite))
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float], a: float, b: float, n: int) -> "SampledFunction":
@@ -174,6 +198,15 @@ def _increments(g: SampledFunction) -> np.ndarray:
         return np.diff(_as_sampled(g).ys)
 
 
+def _derived_arrays(f: SampledFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lengths, densities, masses) of df, fresh arrays: Δx, Δy/Δx and Δy."""
+    with np.errstate(all="ignore"):
+        lengths = np.diff(f.xs)
+        masses = np.diff(f.ys)
+        densities = masses / lengths
+    return lengths, densities, masses
+
+
 def _signed_cells(f: SampledFunction, code: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cells, their widths, their increments) of one sign of ``f``.
 
@@ -205,21 +238,9 @@ def _checked_sum(total: float, what: str) -> float:
 
 def _increment_sum(g: SampledFunction, code: int) -> float:
     """The NEG or POS reduction of the increments of ``g``: entry ``code`` of its split."""
-    return _checked_sum(_increment_split(g)[code], _LINEAR_SUMS[code])
-
-
-def _increment_split(g: SampledFunction) -> tuple[float, float, float]:
-    """``sign_split_sums`` of the increments of ``g``, reduced on first use and kept on ``g``.
-
-    The raw sums are kept, so each caller checks them for overflow on every
-    call.  Two threads that race here compute the same bits.
-    """
-    f = _as_sampled(g)
-    if f._split is None:
-        object.__setattr__(f, "_split", _backend.sign_split_sums(_increments(f)))
-    return f._split
+    return _checked_sum(_as_sampled(g)._split[code], _LINEAR_SUMS[code])
 
 
 def total_variation(g: SampledFunction) -> float:
     """Total rise plus total fall: the integral of the absolute derivative, Σ|Δy|."""
-    return _checked_sum(_increment_split(g)[2], "the total variation")
+    return _checked_sum(_as_sampled(g)._split[2], "the total variation")

@@ -21,7 +21,6 @@ from .functions import (
     SampledFunction,
     _as_sampled,
     _cell,
-    _increment_split,
     _increment_sum,
     _signed_cells,
 )
@@ -73,7 +72,7 @@ def lod(g: SampledFunction) -> float:
 
 def lom(g: SampledFunction) -> float:
     """Twice the smaller of loi and lod; 0 exactly when the function is monotone."""
-    return _indices(_increment_split(g))[2]
+    return _indices(_as_sampled(g)._split)[2]
 
 
 def _indices(split: tuple[float, float, float]) -> tuple:
@@ -94,7 +93,7 @@ def _indices(split: tuple[float, float, float]) -> tuple:
 
 def normalized_indices(g: SampledFunction) -> tuple[float, float, float]:
     """(loi_norm, lod_norm, lom_norm); raises UndefinedIndexError for constant functions."""
-    indices = _indices(_increment_split(g))
+    indices = _indices(_as_sampled(g)._split)
     if indices[3] == 0.0:
         raise UndefinedIndexError("normalized indices are undefined for constant functions (zero total variation)")
     return indices[4:]
@@ -125,7 +124,6 @@ def _loi_p(f: SampledFunction, p: float) -> float:
     """``loi_p`` of ``f``: at p = 1 its split's NEG sum, else computed on first use and kept on ``f`` by p.
 
     Only a finite index is kept, so one that raises raises on every call.
-    Two threads that race here compute the same bits.
     """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
@@ -133,9 +131,6 @@ def _loi_p(f: SampledFunction, p: float) -> float:
     if p == 1.0:
         return _increment_sum(f, _backend.NEG)
     kept = f._loi_p
-    if kept is None:
-        kept = {}
-        object.__setattr__(f, "_loi_p", kept)
     if p not in kept:
         kept[p] = _powered_loi_p(f, p)
     return kept[p]
@@ -151,7 +146,7 @@ def _powered_loi_p(f: SampledFunction, p: float) -> float:
     # which are not negative.  A quotient or width that overflows makes this
     # sum inf or the floor below inf, and so takes the scaled path, which
     # forms no quotient.
-    total = _backend.transform_reduce(quotients, _backend.NEG_POW, p, widths)
+    total = _backend.transform_reduce(quotients, p, widths)
     # A term whose power or product underflows loses at most (length + 1)·2**-1075,
     # so a sum of at least (span + n)·2**-1022 is within u of one that lost nothing.
     floor = (float(f.xs[-1]) - float(f.xs[0]) + (f.xs.shape[0] - 1)) * sys.float_info.min
@@ -181,7 +176,7 @@ def _scaled_loi_p(f: SampledFunction, p: float) -> float:
         raise InvalidInputError(f"loi_p for p={p!r} overflows float64")
     if scale == 0.0:
         raise InvalidInputError(f"loi_p for p={p!r} underflows float64")
-    index = scale * _backend.transform_reduce(terms / scale, _backend.NEG_POW, p) ** (1.0 / p)
+    index = scale * _backend.transform_reduce(terms / scale, p) ** (1.0 / p)
     if math.isinf(index):
         raise InvalidInputError(f"loi_p for p={p!r} overflows float64")
     return index
@@ -196,7 +191,7 @@ def report(f0: SampledFunction, p: float | None = None) -> MonotonicityReport:
     """
     f = _as_sampled(f0)
     return MonotonicityReport(
-        *_indices(_increment_split(f)),
+        *_indices(f._split),
         interval=(float(f.xs[0]), float(f.xs[-1])),
         p=None if p is None else float(p),
         loi_p=None if p is None else _loi_p(f, p),

@@ -9,10 +9,11 @@ lon the mass to remove to make it negative, and los twice the smaller of the
 two.  The grid representation is the bridge to functions: ``derivative(g)``,
 the measure dg with density g', recovers the function-level indices exactly.
 
-A measure is frozen like a function, so it keeps its sign split (the mass
-below zero, the mass above it and their total), reduced on the first index
-that needs it; every positivity index and ``total_variation`` read it, and
-a mixed measure sums the splits of its parts.  ``derivative(g)`` returns
+A measure is frozen like a function and keeps its sign split (the mass
+below zero, the mass above it and their total) by the same rule,
+``functions._kept``, stored by ``object.__setattr__`` on its first read;
+every positivity index and ``total_variation`` read it, and a mixed measure
+sums the splits of its parts and keeps nothing.  ``derivative(g)`` returns
 dg as a view of g: it holds g alone and forms its lengths, densities and
 masses on first read.  dg's masses are g's increments, so g and dg share
 one split, kept on g and reduced by whichever of them is asked first, and
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import _backend
 from .errors import InvalidInputError, UndefinedIndexError
-from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _freeze, _increment_split
+from .functions import SampledFunction, _as_float_array, _as_sampled, _cell, _derived_arrays, _freeze, _kept
 from .indices import _indices
 
 __all__ = [
@@ -61,9 +62,6 @@ class DiscreteSignedMeasure:
     locations: np.ndarray
     weights: np.ndarray
 
-    # The sign split of the weights, set on first use by ``_split_measure``.
-    _split = None
-
     def __post_init__(self):
         locations = _as_float_array(self.locations, "locations")
         weights = _as_float_array(self.weights, "weights")
@@ -91,6 +89,11 @@ class DiscreteSignedMeasure:
     def __reduce__(self):
         # Built again, like a copied function, so that no split is kept on writeable arrays.
         return type(self), (self.locations, self.weights)
+
+    @_kept
+    def _split(self) -> tuple[float, float, float]:
+        """The sign split of the weights."""
+        return _backend.sign_split_sums(self.weights)
 
     @classmethod
     def from_atoms(cls, atoms) -> "DiscreteSignedMeasure":
@@ -124,11 +127,7 @@ class GridDensityMeasure:
     densities: np.ndarray
     masses: np.ndarray = field(init=False, repr=False)
 
-    # The sign split of the masses, set on first use by ``_split_measure``,
-    # and the function g of dg, set by ``derivative``, whose arrays are
-    # formed from g on first read and whose split is g's.
-    _split = None
-    _function = None
+    _function = None  # g of dg, set by ``_view``: dg's arrays are formed from g on first read
 
     def __post_init__(self):
         lengths = _as_float_array(self.lengths, "lengths")
@@ -165,6 +164,13 @@ class GridDensityMeasure:
         return nu
 
     @classmethod
+    def _view(cls, f: SampledFunction) -> "GridDensityMeasure":
+        """df as a view of ``f``, which holds ``f`` alone."""
+        nu = object.__new__(cls)
+        object.__setattr__(nu, "_function", f)
+        return nu
+
+    @classmethod
     def _rebuilt(cls, lengths: np.ndarray, densities: np.ndarray, masses: np.ndarray) -> "GridDensityMeasure":
         """A copied or unpickled measure, over its own copies of the arrays.
 
@@ -187,20 +193,18 @@ class GridDensityMeasure:
         # Built again from its arrays, masses included: those of dg are Δy, not lengths · densities.
         return type(self)._rebuilt, (self.lengths, self.densities, self.masses)
 
+    @_kept
+    def _split(self) -> tuple[float, float, float]:
+        """The sign split of the masses: for dg, g's, read before any array of dg is formed."""
+        if self._function is not None:
+            return self._function._split
+        return _backend.sign_split_sums(self.masses)
+
     def total_variation(self) -> float:
         return positivity_report(self).tv
 
 
 _ARRAYS = ("lengths", "densities", "masses")
-
-
-def _derived_arrays(f: SampledFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lengths, densities, masses) of df, fresh arrays: Δx, Δy/Δx and Δy."""
-    with np.errstate(all="ignore"):
-        lengths = np.diff(f.xs)
-        masses = np.diff(f.ys)
-        densities = masses / lengths
-    return lengths, densities, masses
 
 
 def derivative(g: SampledFunction) -> GridDensityMeasure:
@@ -211,16 +215,9 @@ def derivative(g: SampledFunction) -> GridDensityMeasure:
     overflows, checked on the first call and kept on g.
     """
     f = _as_sampled(g)
-    if f._overflow_cell is None:
-        lengths, densities, _ = _derived_arrays(f)
-        finite = np.isfinite(lengths) & np.isfinite(densities)
-        # Cells of valid samples have positive length: only an overflow leaves one non-finite.
-        object.__setattr__(f, "_overflow_cell", -1 if finite.all() else int(np.argmin(finite)))
     if f._overflow_cell >= 0:
         raise InvalidInputError(f"the difference quotient of {_cell(f, f._overflow_cell)} overflows float64")
-    nu = object.__new__(GridDensityMeasure)
-    object.__setattr__(nu, "_function", f)
-    return nu
+    return GridDensityMeasure._view(f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,24 +276,12 @@ class PositivityReport:
 
 
 def _split_measure(nu) -> tuple[float, float, float]:
-    """Return (mass below zero, mass above zero, total variation), reduced on first use and kept on ``nu``.
-
-    Two threads that race here compute the same bits.
-    """
+    """Return (mass below zero, mass above zero, total variation): a mixed measure's sums those of its parts."""
     if isinstance(nu, MixedSignedMeasure):
         parts = (_split_measure(nu.discrete), _split_measure(nu.grid))
         return tuple(a + b for a, b in zip(*parts))
     if not isinstance(nu, (DiscreteSignedMeasure, GridDensityMeasure)):
         raise InvalidInputError(f"not a signed measure representation: {type(nu).__name__}")
-    # Read before any array: the masses of dg are formed only when read.
-    if nu._split is None:
-        if isinstance(nu, DiscreteSignedMeasure):
-            split = _backend.sign_split_sums(nu.weights)
-        elif nu._function is not None:
-            split = _increment_split(nu._function)
-        else:
-            split = _backend.sign_split_sums(nu.masses)
-        object.__setattr__(nu, "_split", split)
     return nu._split
 
 

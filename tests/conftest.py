@@ -36,3 +36,17 @@ def split_calls(monkeypatch):
 
     monkeypatch.setattr(_backend, "sign_split_sums", counting)
     return calls
+
+
+@pytest.fixture
+def powered_calls(monkeypatch):
+    """The exponent of each ``transform_reduce`` call, as a list that grows."""
+    calls = []
+    reduce = _backend.transform_reduce
+
+    def counting(values, p, lengths=None):
+        calls.append(p)
+        return reduce(values, p, lengths)
+
+    monkeypatch.setattr(_backend, "transform_reduce", counting)
+    return calls

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -168,6 +169,15 @@ def outcome(query, *args) -> str:
         return repr(query(*args))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def traced(query, *args) -> tuple[str, int]:
+    """``outcome(query, *args)`` and the peak bytes that ``tracemalloc`` traced while the query ran."""
+    tracemalloc.start()
+    try:
+        return outcome(query, *args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def unpickled_out_of_band(obj):

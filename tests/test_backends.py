@@ -3,7 +3,7 @@
 Each kernel sum is checked against ``math.fsum`` of the loop's terms within
 the summation error bound, and exactly where the contract is exact: empty
 inputs, zero results, and the sign split's total and symmetry.  The sign
-split reduces one array of signed cell masses; the powered code takes
+split reduces one array of signed cell masses; the powered reduction takes
 values and, optionally, their cell lengths.
 """
 
@@ -16,9 +16,8 @@ import pytest
 from helpers import assert_sum_within_bound
 
 from monotonia import _backend
-from monotonia._backend import NEG, NEG_POW, POS
+from monotonia._backend import NEG, POS
 
-POWER_CODES = (NEG_POW,)
 POWERS = (1.0, 1.5, 2.0, 2.7, 3.0)
 # pow's error on a powered term: np.power was measured within 1 ulp of
 # libm's pow; 4 ulps leave a margin for other CPUs' SIMD routines.
@@ -33,17 +32,17 @@ def libm_pow(x, p):
         return math.inf
 
 
-def reference_terms(values, code, p=1.0, lengths=None):
+def reference_terms(values, p=1.0, lengths=None):
     """The terms of a plain loop, and the slack pow's error adds to their sum.
 
-    The powered code's terms are ``length * (−value)**p`` over the negative
+    The powered reduction's terms are ``length * (−value)**p`` over the negative
     values, with unit lengths when ``lengths`` is None.
     """
     terms = []
     slack = 0.0
     unit = lengths is None
     for length, v in zip([1.0] * len(values) if unit else lengths.tolist(), values.tolist()):
-        if code == NEG_POW and v < 0.0:
+        if v < 0.0:
             power = libm_pow(abs(v), p)
             terms.append(power if unit else length * power)
             if p != 1.0:
@@ -89,7 +88,7 @@ def extreme_cells(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndar
 
 
 BLOCK = 1 << 16
-# (lengths, values): the sign split takes the values as masses, the powered code both.
+# (lengths, values): the sign split takes the values as masses, the powered reduction both.
 EDGE_CASES = {
     # Every powered term underflows: each powered result is +0.0.
     "underflow": ([1e-300, 1e-300, 1e-300], [-1e-300, 1e-300, -1e-300]),
@@ -120,13 +119,12 @@ ADVERSARIAL = list(adversarial_cases())
 
 
 def reduce_cases():
-    """(case name, values, code, p, lengths) over the adversarial inputs: values
-    with and without lengths for the powered code."""
+    """(case name, values, p, lengths) over the adversarial inputs: values
+    with and without lengths for the powered reduction."""
     for name, lengths, values in ADVERSARIAL:
-        for code in POWER_CODES:
-            for p in (1.0, 2.0, 2.7):
-                yield name, values, code, p, lengths
-                yield name, values, code, p, None
+        for p in (1.0, 2.0, 2.7):
+            yield name, values, p, lengths
+            yield name, values, p, None
 
 
 @pytest.mark.filterwarnings("error")
@@ -140,10 +138,10 @@ class TestAdversarialAccuracy:
                 assert_sum_within_bound(result, terms), name
 
     def test_transform_reduce_within_bound(self):
-        for name, values, code, p, lengths in reduce_cases():
-            terms, slack = reference_terms(values, code, p, lengths)
-            got = _backend.transform_reduce(values, code, p, lengths)
-            assert_sum_within_bound(got, terms, slack), (name, code, p, lengths is None)
+        for name, values, p, lengths in reduce_cases():
+            terms, slack = reference_terms(values, p, lengths)
+            got = _backend.transform_reduce(values, p, lengths)
+            assert_sum_within_bound(got, terms, slack), (name, p, lengths is None)
 
 
 @pytest.mark.filterwarnings("error")
@@ -160,11 +158,11 @@ class TestAdversarialBitwise:
 
     def test_zero_results_are_positive_zero(self):
         zeros = 0
-        for name, values, code, p, lengths in reduce_cases():
-            got = _backend.transform_reduce(values, code, p, lengths)
+        for name, values, p, lengths in reduce_cases():
+            got = _backend.transform_reduce(values, p, lengths)
             if got == 0.0:
                 zeros += 1
-                assert same_bits(got, 0.0), (name, code, p, lengths is None)
+                assert same_bits(got, 0.0), (name, p, lengths is None)
         for name, _, masses in ADVERSARIAL:
             for got in _backend.sign_split_sums(masses):
                 if got == 0.0:
@@ -180,15 +178,14 @@ class TestAdversarialBitwise:
             return tuple(sum(terms, 0.0) for terms in reference_split_terms(cases[name][1]))
 
         lengths, values = cases["underflow"]
-        for code in POWER_CODES:
-            for p in (1.0, 2.0):
-                terms, _ = reference_terms(values, code, p, lengths)
-                assert terms and same_bits(sum(terms, 0.0), 0.0)
+        for p in (1.0, 2.0):
+            terms, _ = reference_terms(values, p, lengths)
+            assert terms and same_bits(sum(terms, 0.0), 0.0)
         assert split("subnormal_masses") == (1e-323, 5e-324, 1.5e-323)
         assert split("overflow_both_signs") == (math.inf, math.inf, math.inf)
         assert split("overflow_negative") == (math.inf, 0.0, math.inf)
         lengths, values = cases["power_overflows_before_length"]
-        terms, _ = reference_terms(values, NEG_POW, 2.0, lengths)
+        terms, _ = reference_terms(values, 2.0, lengths)
         assert sum(terms) == math.inf
 
 
@@ -199,29 +196,30 @@ class TestTransformReduceParity:
             lengths, values = random_cells(rng, int(rng.integers(1, 40)))
             for result, terms in zip(_backend.sign_split_sums(values), reference_split_terms(values), strict=True):
                 assert_sum_within_bound(result, terms), trial
-            for code in POWER_CODES:
-                for p in POWERS:
-                    for cell_lengths in (lengths, None):
-                        terms, slack = reference_terms(values, code, p, cell_lengths)
-                        got = _backend.transform_reduce(values, code, p, cell_lengths)
-                        assert_sum_within_bound(got, terms, slack), (trial, code, p)
+            for p in POWERS:
+                for cell_lengths in (lengths, None):
+                    terms, slack = reference_terms(values, p, cell_lengths)
+                    got = _backend.transform_reduce(values, p, cell_lengths)
+                    assert_sum_within_bound(got, terms, slack), (trial, p)
 
     def test_empty_arrays(self):
         empty = np.empty(0, dtype=np.float64)
-        for code in POWER_CODES:
-            assert same_bits(_backend.transform_reduce(empty, code, 2.0), 0.0)
-            assert same_bits(_backend.transform_reduce(empty, code, 2.0, empty), 0.0)
+        assert same_bits(_backend.transform_reduce(empty, 2.0), 0.0)
+        assert same_bits(_backend.transform_reduce(empty, 2.0, empty), 0.0)
         got = _backend.sign_split_sums(empty)
         assert got == (0.0, 0.0, 0.0)
         assert all(same_bits(v, 0.0) for v in got)
 
-    def test_unknown_code_rejected(self):
-        arr = np.array([1.0])
+    def test_only_the_negative_part_is_powered(self):
         # Only the powers of the negative part are reduced here; the linear sums are the sign split's.
-        for code in (NEG, POS, 3, 4, 5, 99):
-            for lengths in (None, arr):
-                with pytest.raises(ValueError):
-                    _backend.transform_reduce(arr, code, 2.0, lengths)
+        # It takes no transform code: a fourth argument, as a code was, is refused.
+        values, lengths = np.array([-2.0, 3.0, -0.0, 0.0, 1e308]), np.array([0.5, 7.0, 2.0, 3.0, 1e300])
+        assert _backend.transform_reduce(values, 2.0) == 4.0
+        assert _backend.transform_reduce(values, 2.0, lengths) == 2.0
+        assert same_bits(_backend.transform_reduce(values[1:4], 3.0, lengths[1:4]), 0.0)
+        for code in (NEG, POS, 2, 99):
+            with pytest.raises(TypeError):
+                _backend.transform_reduce(values, code, 2.0, lengths)
 
     def test_read_only_arrays_are_accepted(self):
         # Library arrays are frozen, so the kernels must take non-writable input.
@@ -229,7 +227,7 @@ class TestTransformReduceParity:
         values = np.array([-1.0, 3.0])
         lengths.flags.writeable = False
         values.flags.writeable = False
-        assert _backend.transform_reduce(values, NEG_POW, 2.0, lengths) == 1.0
+        assert _backend.transform_reduce(values, 2.0, lengths) == 1.0
         assert _backend.sign_split_sums(values) == (1.0, 3.0, 4.0)
 
 

@@ -29,7 +29,6 @@ from monotonia import (
     survival_minus,
     total_variation,
 )
-from monotonia._backend import NEG_POW
 
 from helpers import (
     assert_close,
@@ -40,6 +39,7 @@ from helpers import (
     neg_part,
     outcome,
     pos_part,
+    traced,
     unpickled_out_of_band,
 )
 
@@ -117,16 +117,20 @@ class TestSampledFunctionValidation:
         assert f.ys.tolist() == [0.0, 1.0, 0.0]
         assert (loi(f), loi_p(f, 2.0)) == (1.0, 1.0)
 
-    def test_a_copied_or_unpickled_function_is_frozen_and_computes_its_own(self):
+    def test_a_copied_or_unpickled_function_is_frozen_and_computes_its_own(self, split_calls, powered_calls):
         f = SampledFunction([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         assert (loi(f), loi_p(f, 2.0)) == (1.0, 1.0)
         derivative(f)
         for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
-            assert g._split is None and g._loi_p is None and g._overflow_cell is None
             for arr in (g.xs, g.ys):
                 with pytest.raises(ValueError):
                     arr.flags.writeable = True
+            # g keeps none of f's answers: it reduces its own split, and its own loi_p at p = 2, once.
+            split_calls.clear()
+            powered_calls.clear()
             assert (g.ys.tolist(), loi(g), loi_p(g, 2.0)) == ([0.0, 1.0, 0.0], 1.0, 1.0)
+            assert (lod(g), loi_p(g, 2.0)) == (1.0, 1.0)
+            assert (split_calls, powered_calls) == ([2], [2.0])
 
     def test_a_large_unpickled_function_is_frozen(self):
         # Protocols 0-4 unpickle an array over 1000 bytes as a writeable array over the pickle's bytes.
@@ -227,21 +231,56 @@ class TestDerivative:
                     derivative(f)
                 errors.append((type(excinfo.value), str(excinfo.value)))
         assert errors == [(InvalidInputError, f"the difference quotient of {cell} overflows float64")] * 3
-        assert f._overflow_cell == int(cell.split()[1])
+        # The kept verdict is the one that the same samples give a fresh function.
+        assert outcome(derivative, SampledFunction(f.xs, f.ys)) == f"InvalidInputError: {errors[0][1]}"
 
     def test_restrict_and_replace_start_without_the_kept_verdict(self):
         f = SampledFunction([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, -1.0, 0.5])
         derivative(f)
-        assert f._overflow_cell == -1
         overflowing = dataclasses.replace(f, ys=[0.0, 1e308, -1e308, 0.0])
-        derived = (f.restrict(0.5, 2.5), dataclasses.replace(f, ys=-f.ys), dataclasses.replace(f), overflowing)
-        for g in derived:
-            assert g._overflow_cell is None
         with pytest.raises(InvalidInputError, match=r"^the difference quotient of cell 1 on \[1\.0, 2\.0\]"):
             derivative(overflowing)
         # And back: a function replaced from one that overflows checks its own cells.
         assert lop(derivative(dataclasses.replace(overflowing, ys=f.ys))) == 3.0
-        assert lop(derivative(derived[0])) == 3.0
+        assert lop(derivative(f.restrict(0.5, 2.5))) == 3.0
+
+    def test_copies_and_derived_functions_check_their_own_quotients(self):
+        # A first derivative checks the quotient of every cell, which allocates
+        # arrays of one double per cell; a later one reads the kept verdict.
+        n = 100_000
+        xs = np.linspace(0.0, 3.0, n + 1)
+        f = SampledFunction(xs, np.sin(5.0 * xs))
+        # A unit rise over a sub-normal cell 0: the quotient overflows, the increment does not.
+        xs[1] = 5e-324
+        overflowing = SampledFunction(xs, np.concatenate(([f.ys[0], 1.0], f.ys[2:])))
+
+        def lop_of_dg(g):
+            return lop(derivative(g))
+
+        def check(name, g):
+            loi(g)  # the split first, so that only derivative's check allocates
+            first, again = traced(lop_of_dg, g), traced(lop_of_dg, g)
+            assert first[0] == again[0], name
+            assert first[1] >= 8 * (g.xs.shape[0] - 1) and again[1] < 64 * 1024, (name, first[1], again[1])
+            return first[0]
+
+        want = {"f": check("f", f), "overflowing": check("overflowing", overflowing)}
+        assert want["f"] == repr(loi(f))
+        assert want["overflowing"].startswith("InvalidInputError: the difference quotient of cell 0 on [0.0, 5e-324]")
+        derived = {
+            "pickle": (pickle.loads(pickle.dumps(f)), "f"),
+            "copy": (copy.copy(f), "f"),
+            "deepcopy": (copy.deepcopy(f), "f"),
+            "replace": (dataclasses.replace(f), "f"),
+            "replace back": (dataclasses.replace(overflowing, xs=f.xs, ys=f.ys), "f"),
+            "copy of overflowing": (copy.copy(overflowing), "overflowing"),
+            "replace to overflow": (dataclasses.replace(f, xs=overflowing.xs, ys=overflowing.ys), "overflowing"),
+            "restrict": (f.restrict(0.5, 2.5), None),
+            "replace ys": (dataclasses.replace(f, ys=-f.ys), None),
+        }
+        for name, (g, same_as) in derived.items():
+            got = check(name, g)
+            assert same_as is None or got == want[same_as], name
 
     def test_grid_wider_than_float64_without_overflowing_cells(self):
         with warnings.catch_warnings():
@@ -312,7 +351,7 @@ class TestIntegrateTransform:
                 if slope < 0.0:
                     terms.append(length * (-slope) ** 1.5)
                     slack += length * 4.0 * math.ulp((-slope) ** 1.5)
-            got = _backend.transform_reduce(profile.densities, NEG_POW, 1.5, profile.lengths)
+            got = _backend.transform_reduce(profile.densities, 1.5, profile.lengths)
             assert_sum_within_bound(got, terms, slack)
 
     def test_one_minus_cos_negative_part(self):

@@ -1,8 +1,10 @@
 """Raw, normalized, and Lp monotonicity indices with their algebraic laws."""
 
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import sys
 import threading
 
@@ -11,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monotonia import (
+    DiscreteSignedMeasure,
+    GridDensityMeasure,
     InvalidInputError,
     InvalidParameterError,
     SampledFunction,
@@ -342,7 +346,7 @@ class TestIncrements:
             # dg of the warm f, and of a cold copy of it, whose split dg reduces first.
             for nu in (derivative(f), derivative(SampledFunction(f.xs, f.ys))):
                 assert bits(lop(nu), lon(nu), los(nu), nu.total_variation()) == bits(*singles[:2], singles[3], singles[2])
-            total = _backend.transform_reduce(profile.densities, _backend.NEG_POW, 2.5, profile.lengths)
+            total = _backend.transform_reduce(profile.densities, 2.5, profile.lengths)
             powered = total ** (1.0 / 2.5)
             assert bits(rep.loi_p, loi_p(f, 2.5)) == bits(powered, powered)
 
@@ -378,7 +382,7 @@ class TestLpFromFallingCells:
             f = random_walk(rng, int(rng.integers(1, 300)))
             for p in (1.5, 2.0, 3.0, 7.25):
                 profile = derivative(f)
-                total = _backend.transform_reduce(profile.densities, _backend.NEG_POW, p, profile.lengths)
+                total = _backend.transform_reduce(profile.densities, p, profile.lengths)
                 assert bits(loi_p(f, p)) == bits(total ** (1.0 / p))
 
     def test_overflowing_powers_are_scaled(self):
@@ -429,20 +433,6 @@ class TestLpFromFallingCells:
         with pytest.raises(InvalidInputError) as excinfo:
             loi_p(f, 2.0)
         assert str(excinfo.value) == "loi_p for p=2.0 underflows float64"
-
-
-@pytest.fixture
-def powered_calls(monkeypatch):
-    """The exponent of each ``transform_reduce`` call, as a list that grows."""
-    calls = []
-    reduce = _backend.transform_reduce
-
-    def counting(values, code, p=1.0, lengths=None):
-        calls.append(p)
-        return reduce(values, code, p, lengths)
-
-    monkeypatch.setattr(_backend, "transform_reduce", counting)
-    return calls
 
 
 # loi_p at these exponents, and report, which attaches it.
@@ -507,21 +497,38 @@ class TestLpMemo:
         restricted = f.restrict(0.5, 2.5)
         replaced = dataclasses.replace(f, ys=2.0 * f.ys)
         same = dataclasses.replace(f)
-        for g in (restricted, replaced, same):
-            assert g._loi_p is None
-        assert (loi_p(restricted, 2.0), loi_p(replaced, 2.0), loi_p(same, 2.0)) == (3.0, 6.0, 3.0)
-        assert powered_calls == [2.0] * 4
+        copies = (copy.copy(f), pickle.loads(pickle.dumps(f)))
+        # Each computes its own loi_p at p = 2, once, and keeps it.
+        for _ in range(2):
+            assert (loi_p(restricted, 2.0), loi_p(replaced, 2.0), loi_p(same, 2.0)) == (3.0, 6.0, 3.0)
+            assert [loi_p(g, 2.0) for g in copies] == [3.0, 3.0]
+        assert powered_calls == [2.0] * 6
 
     def test_threads_that_race_get_the_answers_of_a_fresh_function(self):
-        f = random_walk(np.random.default_rng(77), 5000)
-        queries = (lambda g: loi_p(g, 2.0), lambda g: report(g, p=3.0), lambda g: lop(derivative(g)), loi, jordan_bytes)
-        want = [outcome(query, SampledFunction(f.xs, f.ys)) for query in queries]
+        # Functions and measures keep their answers with no lock: threads that race compute the same bits.
+        rng = np.random.default_rng(77)
+        f = random_walk(rng, 5000)
+        ys = f.ys.copy()
+        ys[-2:] = (-1e308, 1e308)
+        atoms = DiscreteSignedMeasure(rng.uniform(-5.0, 5.0, 5000), rng.normal(size=5000))
+        grid = GridDensityMeasure(rng.uniform(0.1, 3.0, 5000), rng.normal(size=5000))
+        dg_queries = (lambda g: lop(derivative(g)), lambda g: los(derivative(g)))
+        # (shared object, a fresh one with the same arrays, the queries raced on it)
+        cases = [
+            (f, SampledFunction(f.xs, f.ys), (lambda g: loi_p(g, 2.0), lambda g: report(g, p=3.0), dg_queries[0], loi, jordan_bytes)),
+            (SampledFunction(f.xs, ys), SampledFunction(f.xs, ys), dg_queries),
+            (atoms, DiscreteSignedMeasure(atoms.locations, atoms.weights), (lop, los)),
+            (grid, GridDensityMeasure(grid.lengths, grid.densities), (lop, los)),
+        ]
+        want = [outcome(query, fresh) for _, fresh, queries in cases for query in queries]
+        cell = f"cell 4999 on [{float(f.xs[4999])!r}, {float(f.xs[5000])!r}]"
+        assert want[5:7] == [f"InvalidInputError: the difference quotient of {cell} overflows float64"] * 2
         barrier = threading.Barrier(8)
         results = []
 
         def work():
             barrier.wait(timeout=10)
-            results.append([outcome(query, f) for query in queries])
+            results.append([outcome(query, nu) for nu, _, queries in cases for query in queries])
 
         threads = [threading.Thread(target=work) for _ in range(8)]
         interval = sys.getswitchinterval()

@@ -503,7 +503,7 @@ class TestSplitMemo:
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
 
-    def test_a_copied_or_unpickled_measure_is_frozen_and_reduces_its_own(self):
+    def test_a_copied_or_unpickled_measure_is_frozen_and_reduces_its_own(self, split_calls):
         f = SampledFunction([0.0, 1.0, 2.5, 3.0], [0.0, 2.0, -1.0, 0.5])
         # 200 cells: protocols 0-4 unpickle an array over 1000 bytes as a writeable array over bytes.
         xs = np.linspace(0.0, 1.0, 201)
@@ -518,14 +518,17 @@ class TestSplitMemo:
             for copied in copies:
                 mixed = isinstance(copied, MixedSignedMeasure)
                 parts = (copied.discrete, copied.grid) if mixed else (copied,)
-                for part, source in zip(parts, (nu.discrete, nu.grid) if mixed else (nu,)):
-                    # A shallow copy of a mixed measure shares its frozen parts.
-                    assert part._split is None or (mixed and part in (nu.discrete, nu.grid))
+                sources = (nu.discrete, nu.grid) if mixed else (nu,)
+                for part, source in zip(parts, sources):
                     for arr, kept in zip(_arrays(part), _arrays(source)):
                         assert arr.tolist() == kept.tolist()
                         with pytest.raises(ValueError):
                             arr.flags.writeable = True
-                assert positivity_report(copied) == want
+                # Each part reduces its own masses once, unless it is the source's:
+                # a shallow copy of a mixed measure shares its frozen parts.
+                split_calls.clear()
+                assert positivity_report(copied) == positivity_report(copied) == want
+                assert split_calls == [_arrays(part)[-1].shape[0] for part, source in zip(parts, sources) if part is not source]
 
 
 def eager_arrays(f: SampledFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
