@@ -163,6 +163,21 @@ def compare(g, h, relation: str) -> OrderingVerdict:
     )
 
 
+def _quotient(curve: SurvivalCurve, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exponent, mantissa in [0.5, 1)) of the curve over its tv at ``grid``, ordered as the quotients are.
+
+    The mantissa quotient lies in (0.5, 2), so it cannot overflow where the
+    quotient itself would; where that is normal it has the quotient's bits.
+    A zero gets the lowest exponent.
+    """
+    mantissa, exponent = np.frexp(curve.value(grid))
+    tv_mantissa, tv_exponent = math.frexp(curve.tv)
+    mantissa, shift = np.frexp(mantissa / tv_mantissa)
+    exponent += shift - tv_exponent
+    exponent[mantissa == 0.0] = np.iinfo(exponent.dtype).min
+    return exponent, mantissa
+
+
 def compare_strict(g, h, relation: str) -> OrderingVerdict:
     """Strict comparison via normalized survival-curve dominance.
 
@@ -180,9 +195,8 @@ def compare_strict(g, h, relation: str) -> OrderingVerdict:
     if curve_g.tv == 0.0 or curve_h.tv == 0.0:
         raise UndefinedComparisonError("cannot compare constant functions (zero total variation)")
     grid = np.unique(np.concatenate(([0.0], curve_g.breaks, curve_h.breaks)))
-    left = curve_g.value(grid) / curve_g.tv
-    right = curve_h.value(grid) / curve_h.tv
-    violated = left > right
+    (left_exp, left), (right_exp, right) = _quotient(curve_g, grid), _quotient(curve_h, grid)
+    violated = (left_exp > right_exp) | ((left_exp == right_exp) & (left > right))
     note = _tv_note(curve_g.tv, curve_h.tv)
     if np.any(violated):
         witness = float(grid[int(np.argmax(violated))])

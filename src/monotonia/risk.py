@@ -11,6 +11,14 @@ carry no quadrature error.
 Loading is the question of whether the premium is at least the mean.  It is
 decided by the sign of cov[F^{-1}(U), w(U)], reported together with two
 equivalent ratio forms of the same sign condition.
+
+One rule keeps a sample near the top of float64 in range.  Where its largest
+magnitude exceeds float max / (2 n^2), the mean, the centring of v_theta,
+the covariance, the loading tolerance and the loading masses are computed on
+the values divided by one power of two 2^k >= n^2 (``EmpiricalDistribution._scale``)
+and multiplied back once at the end.  A power of two divides exactly every
+value that stays normal, so those answers keep the bits of the unscaled
+arithmetic; elsewhere the scale is 1 and the arithmetic is unscaled.
 """
 
 from __future__ import annotations
@@ -78,14 +86,21 @@ class EmpiricalDistribution:
     def n(self) -> int:
         return self.values.shape[0]
 
+    @property
+    def _scale(self) -> float:
+        """2**k, k = 2 bitlen(n - 1), where max|x| > float max / (2 n**2), else 1.0 (see the module docstring)."""
+        n = self.n
+        if max(-self.values[0], self.values[-1]) > sys.float_info.max / (2 * n * n):
+            return 2.0 ** (2 * (n - 1).bit_length())
+        return 1.0
+
+    def _scaled(self) -> np.ndarray:
+        """The values divided by ``_scale``: the frozen values themselves where it is 1.0."""
+        scale = self._scale
+        return self.values if scale == 1.0 else self.values / scale
+
     def mean(self) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(np.mean(self.values))
-        if not math.isfinite(mean):
-            # A partial sum overflows: scaled by 2**-k with 2**k >= n, exactly, none can.
-            k = (self.n - 1).bit_length()
-            mean = math.ldexp(float(np.mean(np.ldexp(self.values, -k))), k)
-        return mean
+        return self._scale * float(np.mean(self._scaled()))
 
     def quantile(self, p: float) -> float:
         """The smallest sample value x with F(x) >= p, for p in (0, 1]."""
@@ -260,23 +275,18 @@ def loading_covariance(ed: EmpiricalDistribution, w: WeightSpec) -> float:
     Non-negative exactly when the premium carries non-negative loading.
     Block-exact like ``premium``.
     """
-    return _covariance(ed, w, premium(ed, w))
+    return _covariance(ed, w, premium(ed, w), ed.mean())
 
 
-def _covariance(ed: EmpiricalDistribution, w: WeightSpec, prem: float) -> float:
+def _covariance(ed: EmpiricalDistribution, w: WeightSpec, prem: float, mean: float) -> float:
     """W(1) * (premium - mean), the covariance of the quantile with the unnormalized weight.
 
     Raises ``InvalidInputError`` where it exceeds float64.
     """
     if ed.n == 1 or ed.values[0] == ed.values[-1]:
         return 0.0
-    mean, total = ed.mean(), w.total_weight()
-    difference = prem - mean
-    if math.isinf(difference):
-        # A range beyond float64: the difference is formed from halves and doubled back.
-        cov = 2.0 * ((0.5 * prem - 0.5 * mean) * total)
-    else:
-        cov = difference * total
+    scale = ed._scale
+    cov = scale * ((prem / scale - mean / scale) * w.total_weight())
     if math.isinf(cov):
         raise InvalidInputError("the covariance of the quantile and weight functions overflows float64")
     return cov
@@ -294,20 +304,13 @@ def v_theta(ed: EmpiricalDistribution) -> tuple[SampledFunction, float]:
     n = ed.n
     vals = np.zeros(n + 1)
     tol = 0.0
-    scale = 1.0
+    scale = ed._scale
     if ed.values[0] != ed.values[-1]:
         # v(i/n) = i (n - i) / n^2 * (mean of the top n - i - mean of the bottom i).
         # v is unchanged by a shift; centred at a middle order statistic, the
         # partial sums do not cancel.
-        with np.errstate(over="ignore"):
-            centred = ed.values - ed.values[n // 2]
-        if max(-centred[0], centred[-1]) > sys.float_info.max / (n * n):
-            # A partial sum, or the product by i (n - i), could leave float64:
-            # centre the order statistics scaled by 2**-k, 2**k >= n**2, which
-            # keeps the bits of every normal result, and scale v back.
-            k = 2 * (n - 1).bit_length()
-            scale = math.ldexp(1.0, k)
-            centred = np.ldexp(ed.values, -k) - math.ldexp(ed.values[n // 2], -k)
+        scaled = ed._scaled()
+        centred = scaled - scaled[n // 2]
         i = np.arange(1, n, dtype=np.float64)
         rest = i[::-1]  # n - i
         inner = np.cumsum(centred[:0:-1])[::-1] / rest
@@ -381,12 +384,14 @@ def _value_split(g: SampledFunction) -> tuple[float, float]:
     return _parts(masses, np.max(g.ys) > 0.0, np.min(g.ys) < 0.0, "g")
 
 
-def _parts(masses: np.ndarray, has_pos: bool, has_neg: bool, of: str) -> tuple[float, float]:
-    """(positive, negative) part of the one-signed ``masses`` of ``of``, which raises where it leaves float64.
+def _parts(masses: np.ndarray, has_pos: bool, has_neg: bool, of: str, scale: float = 1.0) -> tuple[float, float]:
+    """(positive, negative) part of ``scale`` times the one-signed ``masses`` of ``of``.
 
-    A part underflows where it is 0.0 but ``has_pos`` or ``has_neg`` says it is not.
+    It raises where a part leaves float64, which it underflows where it is 0.0
+    but ``has_pos`` or ``has_neg`` says it is not.
     """
     neg, pos, _ = _backend.sign_split_sums(masses)
+    neg, pos = scale * neg, scale * pos
     for part, total, nonzero in (("positive", pos, has_pos), ("negative", neg, has_neg)):
         if math.isinf(total):
             raise InvalidInputError(f"the integral of the {part} part of {of} overflows float64")
@@ -470,20 +475,13 @@ def loading_report(ed: EmpiricalDistribution, w: WeightSpec) -> LoadingReport:
     blocks = _block_weights(ed, w)
     prem = _premium(ed, blocks)
     net = ed.mean()
-    cov = _covariance(ed, w, prem)
-    # Formed from halves, the tolerance stays finite where the range exceeds float64.
-    tol = 2e-9 * float(0.5 * ed.values[-1] - 0.5 * ed.values[0])
-    # Only a mass that exceeds float64 overflows here; its part then raises in ``_parts``.
-    with np.errstate(over="ignore"):
-        centered = ed.values - net
-        if np.isinf(centered[0]) or np.isinf(centered[-1]):
-            # A range beyond float64: the masses are formed from halves and doubled back.
-            masses = 2.0 * ((0.5 * ed.values - 0.5 * net) * blocks)
-        else:
-            masses = centered * blocks
+    cov = _covariance(ed, w, prem, net)
+    scale, scaled = ed._scale, ed._scaled()
+    tol = scale * (1e-9 * float(scaled[-1] - scaled[0]))
     # The sorted values below the mean, and those above it, are the blocks of each sign.
     below, above = np.searchsorted(ed.values, net, "left"), np.searchsorted(ed.values, net, "right")
-    gains, losses = _parts(masses, blocks[above:].any(), blocks[:below].any(), "(quantile - mean) * weight")
+    masses = (scaled - net / scale) * blocks
+    gains, losses = _parts(masses, blocks[above:].any(), blocks[:below].any(), "(quantile - mean) * weight", scale)
     if gains == 0.0 and losses == 0.0:
         glr, omega = None, None
     else:

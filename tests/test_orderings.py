@@ -340,6 +340,17 @@ class TestCompareStrict:
             assert compare_strict(g, h, "SI").holds == "yes"
             assert compare_strict(g, h, "SD").holds == "yes"
 
+    def test_normalized_curves_beyond_float64_are_compared_exactly(self):
+        # At threshold 0 the normalized curves are 1e300 / 1e-10 = 1e310 and 1e300 / 2e-10 = 5e309.
+        f = SampledFunction([0.0, 1e300], [1e-10, 0.0])
+        h = SampledFunction([0.0, 1e300], [2e-10, 0.0])
+        verdict = compare_strict(f, h, "SI")
+        assert (verdict.holds, verdict.witness) == ("no", 0.0)
+        assert compare_strict(negate(f), negate(h), "SD").witness == 0.0
+        # Past f's only break the curve of f is 0 and that of h is 5e309.
+        assert compare_strict(h, f, "SI").witness == survival_minus(f).breaks[0]
+        assert compare_strict(f, f, "SI").holds == "yes"
+
     def test_witness_present_exactly_when_no(self):
         rng = np.random.default_rng(3030)
         for _ in range(60):

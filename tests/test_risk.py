@@ -32,7 +32,7 @@ from monotonia import (
 from monotonia import _backend, risk
 from monotonia.risk import _block_weights, _value_split
 
-from helpers import assert_close, assert_sum_within_bound
+from helpers import U, assert_close, assert_sum_within_bound
 
 QUARTET = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
 SINGLE = EmpiricalDistribution([7.0])
@@ -274,22 +274,6 @@ class TestLoadingCovariance:
                 query(ed, WeightSpec.proportional_hazards(50.0))
             assert str(excinfo.value) == "the covariance of the quantile and weight functions overflows float64"
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "values, w",
-        [
-            # premium - mean overflows; W(1) = 1/1001, or 0.2, brings the covariance back into range.
-            ([-1.7e308, -1.7e308, 1.7e308], WeightSpec.size_biased(1000.0)),
-            ([-1.7e308, -1.7e308, -1.7e308, 1.7e308], WeightSpec.indicator(0.8)),
-            # premium - mean fits, and so does the covariance.
-            ([-1.7e308, 1.7e308, 1.7e308], WeightSpec.proportional_hazards(2.0)),
-        ],
-    )
-    def test_a_difference_beyond_float64_is_formed_from_halves(self, values, w):
-        # Scaling the sample by a power of two scales the covariance exactly.
-        small = EmpiricalDistribution(np.array(values) * 2.0**-10)
-        assert loading_covariance(EmpiricalDistribution(values), w) == loading_covariance(small, w) * 2.0**10
-
     def test_sign_agrees_with_premium_minus_mean(self):
         rng = np.random.default_rng(404)
         for _ in range(40):
@@ -390,25 +374,6 @@ class TestVTheta:
         fn, theta = v_theta(EmpiricalDistribution([-x, x]))
         assert fn.ys.tolist() == [0.0, 0.5 * x, 0.0]
         assert theta == 0.25 * x
-
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [-1.7e308, 1.7e308],
-            [-1.7e308, 1.7e308, 1.7e308],
-            [-1.7e308, -1.7e308, 1.7e308, 1.7e308],
-            # The centring stays finite, but the partial sums would not.
-            [-5e307] * 10 + [5e307] * 10,
-            [-1e305] * 1000 + [0.5, 3.0] + [1e305] * 999,
-        ],
-    )
-    def test_extreme_samples_give_the_scaled_bits(self, values):
-        # Scaling a sample by a power of two scales v and theta exactly,
-        # also where the large sample is centred from scaled order statistics.
-        fn, theta = v_theta(EmpiricalDistribution(values))
-        small_fn, small_theta = v_theta(EmpiricalDistribution(np.array(values) * 2.0**-40))
-        assert fn.ys.tolist() == (small_fn.ys * 2.0**40).tolist()
-        assert theta == small_theta * 2.0**40
 
     def test_grid_size_is_not_a_parameter(self):
         with pytest.raises(TypeError):
@@ -663,38 +628,6 @@ class TestLoadingReport:
             loading_report(EmpiricalDistribution([-1.7e308, -1.7e308, 1.7e308]), WeightSpec.size_biased(1000.0))
         assert str(excinfo.value) == "the integral of the positive part of (quantile - mean) * weight overflows float64"
 
-    @pytest.mark.parametrize(
-        "values, w",
-        [
-            # The range, and so the old tolerance 1e-9 * range, overflows.
-            ([-1.7e308, 1.7e308], WeightSpec.proportional_hazards(2.0)),
-            # np.mean overflows.
-            ([1.6e308, 1.7e308, 1.7e308], WeightSpec.esscher(0.8)),
-            # quantile - mean overflows.
-            ([-1.7e308, 1.7e308, 1.7e308], WeightSpec.esscher(0.8)),
-        ],
-    )
-    def test_extreme_samples_give_the_scaled_report(self, values, w):
-        # Scaling the sample by a power of two scales the premiums and the
-        # covariance exactly, and leaves the verdict and the ratios as they are.
-        rep = loading_report(EmpiricalDistribution(values), w)
-        small = loading_report(EmpiricalDistribution(np.array(values) * 2.0**-10), w)
-        assert (rep.premium, rep.net_premium, rep.covariance) == tuple(
-            v * 2.0**10 for v in (small.premium, small.net_premium, small.covariance)
-        )
-        assert (rep.loading_nonneg, rep.gain_loss_ratio, rep.omega_style_ratio) == (
-            small.loading_nonneg,
-            small.gain_loss_ratio,
-            small.omega_style_ratio,
-        )
-        assert rep.loading_nonneg is (rep.covariance >= 0.0)
-        assert rep.loading_nonneg is (rep.gain_loss_ratio >= 1.0)
-
-    def test_mean_of_a_sample_whose_sum_overflows(self):
-        ed = EmpiricalDistribution([1.6e308, 1.7e308, 1.7e308])
-        assert ed.mean() == EmpiricalDistribution([1.6e308 / 4, 1.7e308 / 4, 1.7e308 / 4]).mean() * 4
-        assert_close(ed.mean(), float(sum(map(Fraction, ed.values.tolist())) / 3), rel=1e-15, abs_=0.0)
-
     def test_one_reduction(self, split_calls):
         loading_report(QUARTET, WeightSpec.esscher(0.8))
         assert split_calls == [4]
@@ -724,6 +657,102 @@ class TestLoadingReport:
                 continue
             assert (rep.covariance > 0.0) == (rep.gain_loss_ratio > 1.0)
             assert (rep.covariance > 0.0) == (rep.omega_style_ratio > 0.5)
+
+
+GAIN_OVERFLOWS = "the integral of the positive part of (quantile - mean) * weight overflows float64"
+
+# Samples whose range, sum or partial sums leave float64, each with a weight
+# and the error, if any, that its loading report raises.
+EXTREME_SAMPLES = [
+    # np.mean overflows.
+    ([1.6e308, 1.7e308, 1.7e308], WeightSpec.esscher(0.8), None),
+    # The range, and so the tolerance 1e-9 * range, overflows.
+    ([-1.7e308, 1.7e308], WeightSpec.proportional_hazards(2.0), None),
+    # quantile - mean overflows.
+    ([-1.7e308, 1.7e308, 1.7e308], WeightSpec.esscher(0.8), None),
+    # premium - mean fits, and so does the covariance.
+    ([-1.7e308, 1.7e308, 1.7e308], WeightSpec.proportional_hazards(2.0), None),
+    # premium - mean overflows; W(1) = 1/1001, or 0.2, brings the covariance back into range,
+    # but not the gain part.
+    ([-1.7e308, -1.7e308, 1.7e308], WeightSpec.size_biased(1000.0), GAIN_OVERFLOWS),
+    ([-1.7e308, -1.7e308, -1.7e308, 1.7e308], WeightSpec.indicator(0.8), GAIN_OVERFLOWS),
+    ([-1.7e308, -1.7e308, 1.7e308, 1.7e308], WeightSpec.esscher(0.8), None),
+    # The centring stays finite, but the partial sums of v would not.
+    ([-5e307] * 10 + [5e307] * 10, WeightSpec.esscher(0.8), None),
+    ([-1e305] * 1000 + [0.5, 3.0] + [1e305] * 999, WeightSpec.esscher(0.8), None),
+]
+
+# Samples whose scale, 2**4, drops the bits of their sub-normal values.
+MIXED_SAMPLES = [
+    [-1.7e308, 5e-324, 1.7e308],
+    [1.7e308, 1e-300, 1e-310],
+    [-1.7e308, -1e-310, 1e-310, 1.7e308],
+]
+
+
+class TestTopOfFloat64:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [10, 40])
+    @pytest.mark.parametrize("values, w, report_error", EXTREME_SAMPLES)
+    def test_scaling_by_a_power_of_two_scales_every_answer(self, values, w, report_error, k):
+        # Scaling a sample by 2**-k scales the mean, v, theta, the premiums and
+        # the covariance exactly, and leaves the verdict and the ratios as they are.
+        big, small = EmpiricalDistribution(values), EmpiricalDistribution(np.array(values) * 2.0**-k)
+        assert big.mean() == small.mean() * 2.0**k
+        # Within the bound of any summation order of the n terms, and the division by n.
+        x, n = [Fraction(v) for v in values], len(values)
+        assert abs(Fraction(big.mean()) - sum(x) / n) <= (n + 2) * Fraction(U) * sum(map(abs, x)) / n
+        (fn, theta), (small_fn, small_theta) = v_theta(big), v_theta(small)
+        assert fn.ys.tolist() == (small_fn.ys * 2.0**k).tolist()
+        assert theta == small_theta * 2.0**k
+        assert premium(big, w) == premium(small, w) * 2.0**k
+        assert loading_covariance(big, w) == loading_covariance(small, w) * 2.0**k
+        if report_error is not None:
+            with pytest.raises(InvalidInputError) as excinfo:
+                loading_report(big, w)
+            assert str(excinfo.value) == report_error
+            return
+        rep, small_rep = loading_report(big, w), loading_report(small, w)
+        assert (rep.premium, rep.net_premium, rep.covariance) == tuple(
+            v * 2.0**k for v in (small_rep.premium, small_rep.net_premium, small_rep.covariance)
+        )
+        assert (rep.loading_nonneg, rep.gain_loss_ratio, rep.omega_style_ratio) == (
+            small_rep.loading_nonneg,
+            small_rep.gain_loss_ratio,
+            small_rep.omega_style_ratio,
+        )
+        assert rep.loading_nonneg is (rep.covariance >= 0.0)
+        assert rep.loading_nonneg is (rep.gain_loss_ratio >= 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [WeightSpec.esscher(0.8), WeightSpec.indicator(0.5)])
+    @pytest.mark.parametrize("values", MIXED_SAMPLES)
+    def test_a_sample_mixing_huge_and_sub_normal_values(self, values, w):
+        ed = EmpiricalDistribution(values)
+        n, x = ed.n, [Fraction(v) for v in ed.values.tolist()]
+        mean = ed.mean()
+        assert mean == float(sum(x) / n)
+        # Each knot of v is within the bound of v_theta's own check of its exact value.
+        bound = (n + 4) * U * max(abs(v - x[n // 2]) for v in x)
+        exact_v = [0] + [Fraction(i * (n - i), n * n) * (sum(x[i:]) / (n - i) - sum(x[:i]) / i) for i in range(1, n)]
+        fn, theta = v_theta(ed)
+        assert all(abs(got - want) <= bound for got, want in zip(fn.ys.tolist(), exact_v + [0]))
+        assert abs(theta - sum(exact_v) / n) <= bound + (n + 2) * U * float(sum(exact_v) / n)
+        # The covariance and the parts are those of the blocks within the backend's bound.
+        blocks = [Fraction(b) for b in _block_weights(ed, w).tolist()]
+        total = Fraction(w.total_weight())
+        cov = loading_covariance(ed, w)
+        want = total * sum((v - Fraction(mean)) * b for v, b in zip(x, blocks))
+        assert abs(cov - want) <= (n + 4) * U * total * max(map(abs, x))
+        masses = [(v - Fraction(mean)) * b for v, b in zip(x, blocks)]
+        gains, losses = sum(m for m in masses if m > 0), -sum(m for m in masses if m < 0)
+        rep = loading_report(ed, w)
+        assert (rep.premium, rep.net_premium, rep.covariance, rep.loading_nonneg) == (premium(ed, w), mean, cov, True)
+        if losses == 0:
+            assert (rep.gain_loss_ratio, rep.omega_style_ratio) == (math.inf, 1.0)
+        else:
+            assert_close(rep.gain_loss_ratio, float(gains / losses), rel=(n + 4) * 2 * U, abs_=0.0)
+            assert_close(rep.omega_style_ratio, float(gains / (gains + losses)), rel=(n + 4) * 2 * U, abs_=0.0)
 
 
 class TestEsscherSmallParameterLimit:
