@@ -134,14 +134,16 @@ def _load_function(path: str) -> SampledFunction:
     table, linenos = _read_table(path, 2)
     if table.shape[0] < 2:
         raise InvalidInputError(f"{path}: need at least 2 data rows")
-    order = np.argsort(table[:, 0], kind="stable")
+    # Valid abscissas are distinct, so any sort gives the one permutation.
+    order = np.argsort(table[:, 0])
     xs = table[order, 0]
     # Compared, not differenced: a difference of finite abscissas can overflow.
     dup = np.flatnonzero(xs[1:] == xs[:-1])
     if dup.size:
-        i = dup[0]
+        # The first two rows in file order of the smallest repeated x, which may be -0.0 and 0.0.
+        first, second = np.flatnonzero(table[:, 0] == xs[dup[0]])[:2]
         raise InvalidInputError(
-            f"{path}: duplicate x={float(xs[i])!r} at rows {linenos[order[i]]} and {linenos[order[i + 1]]}"
+            f"{path}: duplicate x={float(table[first, 0])!r} at rows {linenos[first]} and {linenos[second]}"
         )
     return SampledFunction(xs, table[order, 1])
 

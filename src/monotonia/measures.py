@@ -71,18 +71,25 @@ class DiscreteSignedMeasure:
                 f"got {locations.shape[0]} and {weights.shape[0]}"
             )
         keep = weights != 0.0
-        locations = locations[keep]
-        weights = weights[keep]
-        order = np.argsort(locations, kind="stable")
+        if not keep.all():
+            locations = locations[keep]
+            weights = weights[keep]
+        # Freed first: at the peak, the atoms, the permutation and one gather of them are alive.
+        del keep
+        # Valid locations are distinct, so any sort gives the one permutation.
+        order = np.argsort(locations)
         locations = locations[order]
         weights = weights[order]
         if locations.shape[0] > 1:
             # Compared, not differenced: a difference of finite locations can overflow.
             dup = np.flatnonzero(locations[1:] == locations[:-1])
             if dup.size:
-                raise InvalidInputError(
-                    f"duplicate atom location {float(locations[dup[0]])!r}; merge weights first"
-                )
+                # The first kept atom at the smallest repeated location, which may be -0.0 or 0.0,
+                # read from the caller's atoms.
+                given = np.asarray(self.locations, dtype=np.float64)
+                given = given[np.asarray(self.weights, dtype=np.float64) != 0.0]
+                first = given[given == locations[dup[0]]][0]
+                raise InvalidInputError(f"duplicate atom location {float(first)!r}; merge weights first")
         object.__setattr__(self, "locations", _freeze(locations))
         object.__setattr__(self, "weights", _freeze(weights))
 

@@ -13,12 +13,13 @@ decided by the sign of cov[F^{-1}(U), w(U)], reported together with two
 equivalent ratio forms of the same sign condition.
 
 One rule keeps a sample near the top of float64 in range.  Where its largest
-magnitude exceeds float max / (2 n^2), the mean, the centring of v_theta,
-the covariance, the loading tolerance and the loading masses are computed on
-the values divided by one power of two 2^k >= n^2 (``EmpiricalDistribution._scale``)
-and multiplied back once at the end.  A power of two divides exactly every
-value that stays normal, so those answers keep the bits of the unscaled
-arithmetic; elsewhere the scale is 1 and the arithmetic is unscaled.
+magnitude exceeds float max / (2 n^2), the mean, the premium, the centring
+of v_theta, the covariance, the loading tolerance and the loading masses are
+computed on the values divided by one power of two 2^k >= n^2
+(``EmpiricalDistribution._scale``) and multiplied back once at the end.  A
+power of two divides exactly every value that stays normal, so those answers
+keep the bits of the unscaled arithmetic; elsewhere the scale is 1 and the
+arithmetic is unscaled.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ class EmpiricalDistribution:
     The quantile function is the left-continuous generalized inverse of the
     empirical distribution function: a step function taking the i-th order
     statistic on the block ((i-1)/n, i/n].
+
+    ``values`` has the bits of a stable sort of the sample.  Finite floats
+    that compare equal differ only in the sign of a zero, so the sample is
+    sorted unstably and its zeros, in the order the sample gives them, are
+    then written over the run of zeros: an unstable sort may reorder them,
+    and NumPy's vectorized one may even copy one zero's sign onto another.
     """
 
     values: np.ndarray
@@ -79,7 +86,10 @@ class EmpiricalDistribution:
         values = _as_float_array(self.values, "values")
         if values.shape[0] < 1:
             raise InvalidInputError("need at least one observation")
-        values.sort(kind="stable")
+        zeros = values[values == 0.0]
+        values.sort()
+        start = np.searchsorted(values, 0.0)
+        values[start : start + zeros.shape[0]] = zeros
         object.__setattr__(self, "values", _freeze(values))
 
     @property
@@ -266,7 +276,15 @@ def premium(ed: EmpiricalDistribution, w: WeightSpec) -> float:
 
 
 def _premium(ed: EmpiricalDistribution, blocks: np.ndarray) -> float:
-    return float(np.sum(ed.values * blocks))
+    """The sum of the order statistics times their block weights, formed on the sample scale.
+
+    The blocks sum to 1 only up to rounding, so the sum is clamped into
+    [x_(1), x_(n)], where every average of the sample lies: at the top of
+    float64 the scaled sum can round one ulp past the largest scaled value.
+    """
+    scaled = ed._scaled()
+    total = float(np.sum(scaled * blocks))
+    return ed._scale * min(max(total, float(scaled[0])), float(scaled[-1]))
 
 
 def loading_covariance(ed: EmpiricalDistribution, w: WeightSpec) -> float:

@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 from hypothesis import strategies as st
 
-from monotonia import SampledFunction
+from monotonia import SampledFunction, SurvivalCurve, derivative, total_variation
 
 
 def assert_close(actual: float, expected: float, rel: float = 1e-12, abs_: float = 1e-15) -> None:
@@ -214,3 +214,22 @@ def dyadic_functions(draw, min_cells: int = 2, max_cells: int = 10):
 def dyadic_scales(draw):
     k = draw(st.integers(-512, 512).filter(lambda v: v != 0))
     return k / 128.0
+
+
+def reference_curve(g, sign: str) -> SurvivalCurve:
+    """The curve from the whole derivative profile, every cell of the other sign at part 0."""
+    profile = derivative(g)
+    if sign == "neg":
+        parts = np.where(profile.densities < 0.0, -profile.densities, 0.0)
+    else:
+        parts = np.where(profile.densities > 0.0, profile.densities, 0.0)
+    order = np.argsort(parts, kind="stable")
+    sorted_parts = parts[order]
+    suffix = np.cumsum(profile.lengths[order][::-1])[::-1]
+    new_run = np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1]))
+    starts = np.flatnonzero(new_run & (sorted_parts > 0.0))
+    return SurvivalCurve(sorted_parts[starts], suffix[starts], sign, total_variation(g))
+
+
+def curve_bits(curve) -> tuple[bytes, bytes, float]:
+    return curve.breaks.tobytes(), curve.tail_lengths.tobytes(), curve.tv

@@ -90,6 +90,25 @@ class TestDiscreteConstruction:
         nu = DiscreteSignedMeasure([1.0, 2.0, 1.0], [0.5, 1.0, 0.0])
         assert nu.atoms == [(1.0, 0.5), (2.0, 1.0)]
 
+    def test_construction_copies_no_more_than_the_sort_needs(self):
+        # The caller's two arrays are copied once each, the sort's permutation
+        # and one gather sit beside them, and nothing else stays alive.
+        rng = np.random.default_rng(17)
+        n = 100_000
+        locations = rng.permutation(n).astype(np.float64) * 0.5 + rng.uniform(0.0, 0.25, n)
+        weights = rng.normal(0.2, 1.0, n)
+        weights[rng.random(n) < 0.01] = 0.0
+        tracemalloc.start()
+        try:
+            nu = DiscreteSignedMeasure(locations, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * locations.nbytes
+        order = np.argsort(locations[weights != 0.0], kind="stable")
+        assert nu.locations.tobytes() == locations[weights != 0.0][order].tobytes()
+        assert nu.weights.tobytes() == weights[weights != 0.0][order].tobytes()
+
     def test_shape_and_finiteness_validation(self):
         with pytest.raises(InvalidInputError):
             DiscreteSignedMeasure([1.0, 2.0], [1.0])

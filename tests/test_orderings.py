@@ -13,11 +13,9 @@ from monotonia import (
     InvalidInputError,
     InvalidParameterError,
     SampledFunction,
-    SurvivalCurve,
     UndefinedComparisonError,
     compare,
     compare_strict,
-    derivative,
     loi,
     loi_norm,
     lod,
@@ -31,9 +29,11 @@ from monotonia._backend import BLOCK
 from helpers import (
     assert_close,
     continuous_function,
+    curve_bits,
     dominated_pair,
     dyadic_functions,
     negate,
+    reference_curve,
 )
 
 TENT = SampledFunction([0.0, 1.0, 3.0], [0.0, 1.0, -1.0])
@@ -151,25 +151,6 @@ class TestSurvivalOracle:
         # total bit for bit.
         assert survival_minus(f).integral() == loi(f)
         assert survival_plus(f).integral() == lod(f)
-
-
-def reference_curve(g, sign: str) -> SurvivalCurve:
-    """The curve from the whole derivative profile, every cell of the other sign at part 0."""
-    profile = derivative(g)
-    if sign == "neg":
-        parts = np.where(profile.densities < 0.0, -profile.densities, 0.0)
-    else:
-        parts = np.where(profile.densities > 0.0, profile.densities, 0.0)
-    order = np.argsort(parts, kind="stable")
-    sorted_parts = parts[order]
-    suffix = np.cumsum(profile.lengths[order][::-1])[::-1]
-    new_run = np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1]))
-    starts = np.flatnonzero(new_run & (sorted_parts > 0.0))
-    return SurvivalCurve(sorted_parts[starts], suffix[starts], sign, total_variation(g))
-
-
-def curve_bits(curve) -> tuple[bytes, bytes, float]:
-    return curve.breaks.tobytes(), curve.tail_lengths.tobytes(), curve.tv
 
 
 def tied_walks(rng: np.random.Generator, n: int):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -71,7 +72,7 @@ class TestEmpiricalDistribution:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * sample.nbytes
-        assert ed.values.tolist() == np.sort(sample, kind="stable").tolist()
+        assert ed.values.tobytes() == np.sort(sample, kind="stable").tobytes()
 
     def test_mean(self):
         assert QUARTET.mean() == 2.5
@@ -753,6 +754,22 @@ class TestTopOfFloat64:
         else:
             assert_close(rep.gain_loss_ratio, float(gains / losses), rel=(n + 4) * 2 * U, abs_=0.0)
             assert_close(rep.omega_style_ratio, float(gains / (gains + losses)), rel=(n + 4) * 2 * U, abs_=0.0)
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [WeightSpec.esscher(0.8), WeightSpec.indicator(0.5), WeightSpec.size_biased(1.0)])
+    def test_the_premium_of_a_sample_at_float_max_is_float_max(self, w):
+        # Summed unscaled, the products overflow; summed scaled, they round one ulp
+        # past float max / 16, and the clamp into [x_(1), x_(n)] takes that back.
+        ed = EmpiricalDistribution([sys.float_info.max] * 3)
+        assert premium(ed, w) == sys.float_info.max
+        rep = loading_report(ed, w)
+        assert (rep.premium, rep.net_premium, rep.covariance, rep.loading_nonneg) == (
+            sys.float_info.max,
+            sys.float_info.max,
+            0.0,
+            True,
+        )
 
 
 class TestEsscherSmallParameterLimit:
