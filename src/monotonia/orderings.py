@@ -103,13 +103,21 @@ def _curve(g: SampledFunction, sign: str) -> SurvivalCurve:
         i = int(cells[np.argmin(finite)])
         raise InvalidInputError(f"the difference quotient of {_cell(f, i)} overflows float64")
     tv = total_variation(f)
-    # Tied parts add their lengths to the tails in the order of their cells, which only a
-    # stable sort keeps; without a tie every sort gives the one permutation.
+    # Tied parts add their lengths to the tails in the order of their cells, as a stable
+    # sort leaves them; without a tie every sort gives the one permutation.
     order = np.argsort(parts)
     sorted_parts = parts[order]
     new_run = np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1]))
     if not new_run.all():
-        order = np.argsort(parts, kind="stable")
+        # Keyed by its run of equal parts, then by its own index, each cell sorts into the
+        # stable order: the key is below n^2, and modulo n it gives back the index.
+        n = order.shape[0]
+        key = np.cumsum(new_run)
+        key -= 1
+        key *= n
+        key += order
+        key.sort()
+        order = np.remainder(key, n, out=key)
     with np.errstate(over="ignore"):
         suffix = np.cumsum(lengths[order][::-1])[::-1]
     # The first cell of each run of equal positive parts gives its break and tail.
@@ -166,37 +174,15 @@ def compare(g, h, relation: str) -> OrderingVerdict:
     )
 
 
-def _grid(curve_g: SurvivalCurve, curve_h: SurvivalCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0.0 and every break of either curve, increasing and distinct, with both curves' values there.
-
-    One sort merges the two break lists, which are sorted and positive: a
-    break of both curves comes twice, and the last of each run of equal
-    values stands for it.  A curve's value at z is its tail at the count of
-    its breaks <= z, and 0 past the last break.
-    """
-    n_g = curve_g.breaks.shape[0]
-    merged = np.concatenate(([0.0], curve_g.breaks, curve_h.breaks))
-    order = np.argsort(merged)
-    merged = merged[order]
-    last = np.concatenate((merged[1:] != merged[:-1], [True]))
-    of_g = order <= n_g
-    of_g[0] = False  # the 0.0, which is the least value, sorts first
-    counts_g = np.cumsum(of_g)[last]
-    counts_h = np.cumsum(order > n_g)[last]
-    values_g = np.concatenate((curve_g.tail_lengths, [0.0]))[counts_g]
-    values_h = np.concatenate((curve_h.tail_lengths, [0.0]))[counts_h]
-    return merged[last], values_g, values_h
-
-
-def _quotient(values: np.ndarray, tv: float) -> tuple[np.ndarray, np.ndarray]:
-    """(exponent, mantissa in [0.5, 1)) of ``values`` / ``tv``, ordered as the quotients are.
+def _quotient(curve: SurvivalCurve, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exponent, mantissa in [0.5, 1)) of the curve over its tv at ``grid``, ordered as the quotients are.
 
     The mantissa quotient lies in (0.5, 2), so it cannot overflow where the
     quotient itself would; where that is normal it has the quotient's bits.
     A zero gets the lowest exponent.
     """
-    mantissa, exponent = np.frexp(values)
-    tv_mantissa, tv_exponent = math.frexp(tv)
+    mantissa, exponent = np.frexp(curve.value(grid))
+    tv_mantissa, tv_exponent = math.frexp(curve.tv)
     mantissa, shift = np.frexp(mantissa / tv_mantissa)
     exponent += shift - tv_exponent
     exponent[mantissa == 0.0] = np.iinfo(exponent.dtype).min
@@ -219,8 +205,8 @@ def compare_strict(g, h, relation: str) -> OrderingVerdict:
     curve_h = _curve(h, sign)
     if curve_g.tv == 0.0 or curve_h.tv == 0.0:
         raise UndefinedComparisonError("cannot compare constant functions (zero total variation)")
-    grid, values_g, values_h = _grid(curve_g, curve_h)
-    (left_exp, left), (right_exp, right) = _quotient(values_g, curve_g.tv), _quotient(values_h, curve_h.tv)
+    grid = np.unique(np.concatenate(([0.0], curve_g.breaks, curve_h.breaks)))
+    (left_exp, left), (right_exp, right) = _quotient(curve_g, grid), _quotient(curve_h, grid)
     violated = (left_exp > right_exp) | ((left_exp == right_exp) & (left > right))
     note = _tv_note(curve_g.tv, curve_h.tv)
     if np.any(violated):

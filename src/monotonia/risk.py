@@ -75,9 +75,9 @@ class EmpiricalDistribution:
 
     ``values`` has the bits of a stable sort of the sample.  Finite floats
     that compare equal differ only in the sign of a zero, so the sample is
-    sorted unstably and its zeros, in the order the sample gives them, are
-    then written over the run of zeros: an unstable sort may reorder them,
-    and NumPy's vectorized one may even copy one zero's sign onto another.
+    sorted unstably and the signs of its zeros, in the order the sample gives
+    them, are then written over the run of zeros: an unstable sort may reorder
+    them, and NumPy's vectorized one may even copy one zero's sign onto another.
     """
 
     values: np.ndarray
@@ -86,10 +86,12 @@ class EmpiricalDistribution:
         values = _as_float_array(self.values, "values")
         if values.shape[0] < 1:
             raise InvalidInputError("need at least one observation")
-        zeros = values[values == 0.0]
+        # Zeros differ only in the byte that holds the sign bit: one byte of each zero is kept.
+        sign_bytes = values.view(np.uint8)[7 if sys.byteorder == "little" else 0 :: 8]
+        zero_signs = sign_bytes[values == 0.0]
         values.sort()
-        start = np.searchsorted(values, 0.0)
-        values[start : start + zeros.shape[0]] = zeros
+        start = int(np.searchsorted(values, 0.0))
+        sign_bytes[start : start + zero_signs.shape[0]] = zero_signs
         object.__setattr__(self, "values", _freeze(values))
 
     @property

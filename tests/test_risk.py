@@ -63,8 +63,16 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             ed.values[0] = 0.0
 
-    def test_the_sample_is_copied_once(self):
-        sample = np.random.default_rng(11).normal(size=100_000)
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            np.random.default_rng(11).normal(size=100_000),
+            # Mostly zeros of both signs, as a loss sample can be: each zero keeps one byte.
+            np.random.default_rng(12).choice([-0.0, 0.0, 1.5, -2.0], 100_000, p=[0.45, 0.45, 0.05, 0.05]),
+        ],
+        ids=["normal", "mostly-zeros"],
+    )
+    def test_the_sample_is_copied_once(self, sample):
         tracemalloc.start()
         try:
             ed = EmpiricalDistribution(sample)

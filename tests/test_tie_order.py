@@ -25,13 +25,11 @@ from monotonia import (
     EmpiricalDistribution,
     InvalidInputError,
     SampledFunction,
-    SurvivalCurve,
     compare_strict,
     survival_minus,
     survival_plus,
 )
 from monotonia import cli
-from monotonia.orderings import _grid
 
 from helpers import curve_bits, reference_curve
 
@@ -153,22 +151,3 @@ class TestSurvivalCurves:
         assert verdict.holds == ("no" if violated.any() else "yes")
         assert verdict.witness == (float(grid[np.argmax(violated)]) if violated.any() else None)
 
-
-def curve_of(breaks: list[float]) -> SurvivalCurve:
-    """A curve with the given distinct positive breaks and falling tails."""
-    breaks = np.array(sorted(breaks), dtype=np.float64)
-    return SurvivalCurve(breaks, np.arange(breaks.shape[0], 0, -1) / 3.0, "neg", 1.0)
-
-
-POSITIVE_BREAKS = st.sets(st.sampled_from([5e-324, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308]) | st.floats(1e-3, 1e3), max_size=40)
-
-
-@given(POSITIVE_BREAKS, POSITIVE_BREAKS)
-@settings(max_examples=300, deadline=None)
-def test_merged_grid_is_the_unique_union_with_both_curves_values(breaks_g, breaks_h):
-    curve_g, curve_h = curve_of(list(breaks_g)), curve_of(list(breaks_h))
-    grid, values_g, values_h = _grid(curve_g, curve_h)
-    expected = np.unique(np.concatenate(([0.0], curve_g.breaks, curve_h.breaks)))
-    assert grid.tobytes() == expected.tobytes()
-    assert values_g.tobytes() == curve_g.value(expected).tobytes()
-    assert values_h.tobytes() == curve_h.value(expected).tobytes()
